@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 A Tensor wraps a numpy array together with the links needed to replay the
-computation backwards. Gradients are accumulated into ``Tensor.grad`` by
-``backward``; calling ``backward`` twice without resetting grads adds the
-contributions (additive contract).
+computation backwards. Gradients are accumulated into ``Tensor.grad`` of the
+leaves by ``backward``; calling ``backward`` twice without resetting grads
+adds the contributions (additive contract).
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ class Parameter(Tensor):
 
     def __init__(self, data, name=None):
         super().__init__(data, name=name)
+        if not self.data.flags.c_contiguous:
+            # the optimizer updates flat views of data
+            self.data = self.data.copy()
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self):
@@ -106,14 +109,34 @@ class ComputationRecord:
         return cls(order)
 
 
-def backward(loss):
-    """Accumulate d(loss)/d(node) into ``grad`` of every tensor reachable
-    from ``loss``. ``loss`` must be scalar."""
+def backward(loss, wrt=None):
+    """Accumulate d(loss)/d(leaf) into ``grad`` of the leaves reachable
+    from ``loss``. ``loss`` must be scalar.
+
+    Only leaves (tensors without parents) receive gradient; intermediate
+    nodes keep ``grad`` as it was. A leaf whose ``grad`` is ``None`` gets a
+    fresh array, any other leaf is added to in place, so two calls without
+    resetting grads add the contributions.
+
+    ``wrt`` (an iterable of leaves) restricts the pass to those leaves:
+    nodes from which none of them is reachable are not differentiated, and
+    every other leaf's ``grad`` is left untouched. The gradients that do
+    reach ``wrt`` are summed in the same order as without it, so they are
+    bit-identical to a full pass.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    record = ComputationRecord.trace(loss)
+    nodes = ComputationRecord.trace(loss).nodes
+    if wrt is not None:
+        # keep the nodes from which a leaf in wrt is reachable (parents
+        # come before children in the record)
+        live = {id(p) for p in wrt}
+        for node in nodes:
+            if any(id(p) in live for p in node.parents):
+                live.add(id(node))
+        nodes = [node for node in nodes if id(node) in live]
     adjoint = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(record.nodes):
+    for node in reversed(nodes):
         g = adjoint.get(id(node))
         if g is None or node._vjp is None:
             continue
@@ -122,14 +145,14 @@ def backward(loss):
                 continue
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if acc is None else acc + pg
-    for node in record.nodes:
+    for node in nodes:
         g = adjoint.get(id(node))
-        if g is None:
+        if g is None or node.parents:
             continue
         if node.grad is None:
             node.grad = np.array(g, dtype=np.float64)
         else:
-            node.grad = node.grad + g
+            np.add(node.grad, g, out=node.grad)
 
 
 def _unbroadcast(g, shape):

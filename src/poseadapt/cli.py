@@ -3,7 +3,9 @@ modes plus the ablation baselines, evaluation, uncertainty histograms and
 a gradient self-check.
 
 Errors are reported as one JSON object on stderr. Exit codes: 2 invalid
-configuration, 3 missing input files, 4 dataset invariant violation.
+configuration, 3 missing input files, 4 dataset or checkpoint invariant
+violation, 5 a training loss term became non-finite (no step was taken
+with it).
 All outputs under --out are content-deterministic for a fixed config and
 seed; wall-clock timestamps go only to the sidecar run.log.
 """
@@ -22,13 +24,15 @@ from . import autodiff as ad
 from .config import ExperimentConfig, generate_splits
 from .model import FusionNet, PoseNet
 from .synthdata import DataInvariantError, load_dataset, save_dataset
-from .trainer import (histogram_groups, metrics_row, train_fusion,
-                      train_joint_level, train_pose_level, write_metrics_csv)
+from .trainer import (NonFiniteLossError, histogram_groups, metrics_row,
+                      train_fusion, train_joint_level, train_pose_level,
+                      write_metrics_csv)
 from .uncertainty import select_joint_pseudo_labels, select_pose_pseudo_labels
 
 EXIT_BAD_CONFIG = 2
 EXIT_MISSING_FILES = 3
 EXIT_BAD_DATA = 4
+EXIT_NON_FINITE = 5
 
 TRAIN_MODES = {
     # mode -> (loop, enabled loss terms)
@@ -107,9 +111,14 @@ def cmd_generate_data(args):
     return 0
 
 
+def _require_checkpoint(path_prefix, suffixes=(".json", ".bin")):
+    for suffix in suffixes:
+        if not os.path.exists(path_prefix + suffix):
+            _fail(EXIT_MISSING_FILES, f"checkpoint file not found: {path_prefix + suffix}")
+
+
 def _load_model(path_prefix):
-    if not os.path.exists(path_prefix + ".json"):
-        _fail(EXIT_MISSING_FILES, f"model checkpoint not found: {path_prefix}")
+    _require_checkpoint(path_prefix, (".json", ".bin", ".config.json", ".skeleton.json"))
     return PoseNet.load(path_prefix)
 
 
@@ -178,8 +187,7 @@ def cmd_evaluate(args):
     splits = _splits(cfg, args.data)
     fusion = None
     if args.fusion:
-        if not os.path.exists(args.fusion + ".json"):
-            _fail(EXIT_MISSING_FILES, f"fusion checkpoint not found: {args.fusion}")
+        _require_checkpoint(args.fusion)
         fusion = FusionNet(tree=model.tree, config=model.config,
                            rng=np.random.default_rng(0))
         fusion.load_weights(args.fusion)
@@ -281,6 +289,9 @@ def main(argv=None):
     except DataInvariantError as e:
         print(json.dumps({"error": str(e), "code": EXIT_BAD_DATA}), file=sys.stderr)
         return EXIT_BAD_DATA
+    except NonFiniteLossError as e:
+        print(json.dumps({"error": str(e), "code": EXIT_NON_FINITE}), file=sys.stderr)
+        return EXIT_NON_FINITE
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .heatmap import cell_centers
-from .optim import save_params, load_params
+from .optim import copy_checkpoint, save_params
 from .skeleton import KinematicTree, default_tree
+from .synthdata import DataInvariantError
 
 SCALE_FLOOR = 0.1  # softplus shift keeping the projection from collapsing
 
@@ -187,14 +188,16 @@ class PoseNet:
 
     @classmethod
     def load(cls, path_prefix):
-        with open(path_prefix + ".config.json") as f:
-            config = ModelConfig.from_json(f.read())
-        with open(path_prefix + ".skeleton.json") as f:
-            tree = KinematicTree.from_json(f.read())
+        try:
+            with open(path_prefix + ".config.json") as f:
+                config = ModelConfig.from_json(f.read())
+            with open(path_prefix + ".skeleton.json") as f:
+                tree = KinematicTree.from_json(f.read())
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataInvariantError(f"checkpoint {path_prefix}: bad model "
+                                     f"description: {e!r}") from e
         net = cls(config=config, tree=tree)
-        loaded = load_params(path_prefix)
-        for name, p in loaded.items():
-            net.params[name].data[...] = p.data
+        copy_checkpoint(net.params, path_prefix)
         return net
 
 
@@ -271,5 +274,4 @@ class FusionNet:
         save_params(sorted(self.params.values(), key=lambda p: p.name), path_prefix)
 
     def load_weights(self, path_prefix):
-        for name, p in load_params(path_prefix).items():
-            self.params[name].data[...] = p.data
+        copy_checkpoint(self.params, path_prefix)

@@ -218,11 +218,26 @@ def _obs(batch):
     return np.stack([s.obs for s in batch])
 
 
-def _update(model, opt, loss):
-    model.zero_grad()
-    ad.backward(loss)
+class NonFiniteLossError(FloatingPointError):
+    """A loss term evaluated to NaN or infinity; raised before that term's
+    optimizer step, so the weights keep their last finite values."""
+
+    def __init__(self, term, value):
+        super().__init__(f"loss term {term!r} is not finite ({value})")
+        self.term = term
+
+
+def _update(opts, term, loss):
+    """One step of loss term ``term`` with its optimizer ``opts[term]``.
+    Only that optimizer's parameters are zeroed and differentiated."""
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(term, value)
+    opt = opts[term]
+    opt.zero_grad()
+    ad.backward(loss, wrt=opt.params)
     opt.step()
-    return float(loss.data)
+    return value
 
 
 # Entropy-MAXIMIZATION terms; these are restricted to the localization
@@ -281,17 +296,17 @@ def train_pose_level(ds, dt, db, hp, rng, model=None, enable=POSE_LEVEL_TERMS,
         if "sup" in enable and ds:
             batch = _gather(ds, _batch_indices(rng, len(ds), hp.batch_size))
             out = model.forward(_obs(batch))
-            losses["sup"] = _update(model, opts["sup"], loss_sup_source(
+            losses["sup"] = _update(opts, "sup", loss_sup_source(
                 out, np.stack([s.gt_h for s in batch]),
                 np.stack([s.gt_p for s in batch]), hp))
         if "bg" in enable and db:
             batch = _gather(db, _batch_indices(rng, len(db), hp.batch_size))
             out = model.forward(_obs(batch))
-            losses["bg"] = _update(model, opts["bg"], loss_bg_uncertainty(out, hp))
+            losses["bg"] = _update(opts, "bg", loss_bg_uncertainty(out, hp))
         if "tgt" in enable and dt:
             batch = _gather(dt, _batch_indices(rng, len(dt), hp.batch_size))
             out = model.forward(_obs(batch))
-            losses["tgt"] = _update(model, opts["tgt"], loss_tgt_uncertainty(out))
+            losses["tgt"] = _update(opts, "tgt", loss_tgt_uncertainty(out))
         if "psup" in enable and state.pseudo is not None and len(state.pseudo) > 0:
             ids = state.pseudo.ids
             pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
@@ -299,7 +314,7 @@ def train_pose_level(ds, dt, db, hp, rng, model=None, enable=POSE_LEVEL_TERMS,
             out = model.forward(_obs(batch))
             h_pl = np.stack([state.pseudo.h[i] for i in pick])
             p_pl = np.stack([state.pseudo.p[i] for i in pick])
-            losses["psup"] = _update(model, opts["psup"],
+            losses["psup"] = _update(opts, "psup",
                                      loss_psup_target(out, h_pl, p_pl, hp))
         state.loss_log.append(losses)
     state.iteration = hp.max_iter
@@ -350,29 +365,28 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
                     out, np.stack([s.gt_h for s in batch]),
                     np.stack([s.gt_p for s in batch]), in_mask, out_mask,
                     hp, margin=hp.m_h)
-                losses["sup_inv"] = _update(model, opts["sup_inv"], loss)
+                losses["sup_inv"] = _update(opts, "sup_inv", loss)
             elif "ent_outv_s" in enable:
                 out = model.forward(_obs(batch))
                 losses["ent_outv_s"] = _update(
-                    model, opts["ent_outv_s"],
-                    loss_entropy_max(out, ~in_mask, margin=hp.m_h))
+                    opts, "ent_outv_s", loss_entropy_max(out, ~in_mask, margin=hp.m_h))
         if "ent_bg" in enable and db:
             batch = _gather(db, _batch_indices(rng, len(db), hp.batch_size))
             out = model.forward(_obs(batch))
-            losses["ent_bg"] = _update(model, opts["ent_bg"],
+            losses["ent_bg"] = _update(opts, "ent_bg",
                                        loss_bg_entropy(out, margin=hp.m_h))
         sel = state.pseudo
         if sel is not None and dt_o:
             if "ent_inv_t" in enable and sel.in_mask.any():
                 idx = _batch_indices(rng, len(dt_o), hp.batch_size)
                 out = model.forward(_obs(_gather(dt_o, idx)))
-                losses["ent_inv_t"] = _update(model, opts["ent_inv_t"],
+                losses["ent_inv_t"] = _update(opts, "ent_inv_t",
                                               loss_entropy_min(out, sel.in_mask[idx]))
             if "ent_outv_t" in enable and sel.out_mask.any():
                 idx = _batch_indices(rng, len(dt_o), hp.batch_size)
                 out = model.forward(_obs(_gather(dt_o, idx)))
                 losses["ent_outv_t"] = _update(
-                    model, opts["ent_outv_t"],
+                    opts, "ent_outv_t",
                     loss_entropy_max(out, sel.out_mask[idx], margin=hp.m_h))
             if "psup" in enable and sel.q:
                 ids = sorted(sel.q)
@@ -383,7 +397,7 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
                 weights = conf / np.maximum(conf.sum(axis=-1, keepdims=True), 1e-12)
                 h_pl = np.stack([sel.h[i] for i in pick])
                 p_pl = np.stack([sel.p[i] for i in pick])
-                losses["psup"] = _update(model, opts["psup"],
+                losses["psup"] = _update(opts, "psup",
                                          loss_psup_target(out, h_pl, p_pl, hp,
                                                           weights=weights))
         state.loss_log.append(losses)
@@ -402,8 +416,8 @@ def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
     if fusion is None:
         fusion = FusionNet(tree=model.tree, config=model.config, rng=rng)
     max_iter = hp.max_iter if max_iter is None else max_iter
-    opt_s = Adam(fusion.parameters(), lr=hp.lr_for("fusion_sup"))
-    opt_t = Adam(fusion.parameters(), lr=hp.lr_for("fusion_psup"))
+    opts = {name: Adam(fusion.parameters(), lr=hp.lr_for(name))
+            for name in ("fusion_sup", "fusion_psup")}
     pseudo_ids = sorted(pseudo.q) if pseudo is not None else []
     for _ in range(max_iter):
         batch = _gather(source, _batch_indices(rng, len(source), hp.batch_size))
@@ -418,9 +432,7 @@ def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
             loss = ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(mask)), axis=-1))
         else:
             loss = ad.mse(pf, Tensor(p_gt))
-        fusion.zero_grad()
-        ad.backward(loss)
-        opt_s.step()
+        _update(opts, "fusion_sup", loss)
         if pseudo_ids:
             pick = [pseudo_ids[int(i)]
                     for i in _batch_indices(rng, len(pseudo_ids), hp.batch_size)]
@@ -434,9 +446,7 @@ def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
             d = ad.sub(pf, Tensor(np.stack([pseudo.p[i] for i in pick])))
             per_joint = ad.tmean(ad.mul(d, d), axis=-1)
             loss = ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(weights)), axis=-1))
-            fusion.zero_grad()
-            ad.backward(loss)
-            opt_t.step()
+            _update(opts, "fusion_psup", loss)
     return fusion
 
 

@@ -175,3 +175,69 @@ def test_gradient_check_utility_flags_wrong_gradient():
         return bad
 
     assert ad.gradient_check(fn, [w], rng) > 1e-2
+
+
+def test_intermediate_nodes_get_no_grad():
+    p = Parameter(np.array([1.0, 2.0]))
+    primed = Tensor(np.array([3.0, 4.0]))
+    primed.grad = np.zeros(2)
+    const = Tensor(np.array([5.0, 6.0]))
+    h = ad.mul(p, primed)
+    ad.backward(ad.tsum(ad.mul(h, const)))
+    assert h.grad is None
+    np.testing.assert_array_equal(p.grad, [15.0, 24.0])
+    np.testing.assert_array_equal(primed.grad, [5.0, 12.0])
+    np.testing.assert_array_equal(const.grad, [3.0, 8.0])  # None -> fresh copy
+
+
+def _two_stage_loss(x, enc, head, calls):
+    """loss = sum(relu(x @ enc) @ head); ``calls`` counts the vjp calls
+    of the encoder output's node."""
+    feat = ad.relu(ad.matmul(Tensor(x), enc))
+    inner = feat._vjp
+
+    def counted(g):
+        calls.append(1)
+        return inner(g)
+
+    feat._vjp = counted
+    return ad.tsum(ad.matmul(feat, head))
+
+
+def test_backward_wrt_prunes_to_target_leaves():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 5))
+    enc = Parameter(rng.standard_normal((5, 6)))
+    head = Parameter(rng.standard_normal((6, 3)))
+    calls = []
+    ad.backward(_two_stage_loss(x, enc, head, calls))
+    full_head = head.grad.copy()
+    assert calls and np.abs(enc.grad).max() > 0.0
+
+    enc.grad[...] = 7.0
+    head.grad[...] = 0.0
+    calls.clear()
+    ad.backward(_two_stage_loss(x, enc, head, calls), wrt=[head])
+    assert not calls  # nothing below the head is differentiated
+    np.testing.assert_array_equal(enc.grad, np.full((5, 6), 7.0))
+    np.testing.assert_array_equal(head.grad, full_head)
+
+
+def test_backward_wrt_matches_full_pass_bit_for_bit():
+    rng = np.random.default_rng(1)
+    a = Parameter(rng.standard_normal((3, 4)))
+    b = Parameter(rng.standard_normal(4))
+    c = Parameter(rng.standard_normal((4, 2)))
+
+    def loss():
+        h = ad.softplus(ad.add(a, b))
+        return ad.tsum(ad.mul(ad.matmul(h, c), ad.matmul(ad.exp(a), c)))
+
+    ad.backward(loss())
+    full = [p.grad.copy() for p in (a, b, c)]
+    for p in (a, b, c):
+        p.zero_grad()
+    ad.backward(loss(), wrt=[a, b])
+    np.testing.assert_array_equal(a.grad, full[0])
+    np.testing.assert_array_equal(b.grad, full[1])
+    np.testing.assert_array_equal(c.grad, np.zeros((4, 2)))

@@ -1,16 +1,18 @@
 """End-to-end command-line checks: happy paths, exit codes, and output
 determinism."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from poseadapt import cli
 from poseadapt.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATA, EXIT_MISSING_FILES,
-                           main)
+                           EXIT_NON_FINITE, main)
 from poseadapt.config import ExperimentConfig
-from poseadapt.model import ModelConfig
+from poseadapt.model import ModelConfig, PoseNet
 
 
 def tiny_config(tmp_path, seed=0):
@@ -115,12 +117,55 @@ def test_corrupt_dataset_exits_4(tmp_path, capsys):
     assert err["code"] == EXIT_BAD_DATA
 
 
+def test_nonfinite_loss_exits_5(tmp_path, capsys, monkeypatch):
+    generate = cli.generate_splits
+
+    def nan_source(cfg):
+        splits = generate(cfg)
+        splits["source"] = [dataclasses.replace(s, obs=np.full_like(s.obs, np.nan))
+                            for s in splits["source"]]
+        return splits
+
+    monkeypatch.setattr(cli, "generate_splits", nan_source)
+    out = tmp_path / "o"
+    rc = main(["train", "--config", tiny_config(tmp_path), "--mode", "pose",
+               "--out", str(out)])
+    assert rc == EXIT_NON_FINITE == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_NON_FINITE
+    assert "'sup'" in err["error"]
+    assert not (out / "model.bin").exists()
+
+
+def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
+    cfgp = tiny_config(tmp_path)
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    blob = tmp_path / "model.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    rc = main(["evaluate", "--config", cfgp, "--model", prefix,
+               "--out", str(tmp_path / "ev")])
+    assert rc == EXIT_BAD_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == EXIT_BAD_DATA
+    assert "blob holds" in err["error"]
+
+
 def test_missing_model_exits_3(tmp_path, capsys):
     cfgp = tiny_config(tmp_path)
     rc = main(["evaluate", "--config", cfgp, "--model",
                str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert rc == EXIT_MISSING_FILES
     capsys.readouterr()
+
+    # a manifest without its blob is missing a file, not a traceback
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    os.remove(prefix + ".bin")
+    rc = main(["evaluate", "--config", cfgp, "--model", prefix,
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_MISSING_FILES
+    assert "model.bin" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_gradcheck_command(capsys):

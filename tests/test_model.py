@@ -5,8 +5,11 @@ import pytest
 
 from poseadapt import autodiff as ad
 from poseadapt.heatmap import soft_argmax
+from poseadapt.autodiff import Parameter
 from poseadapt.model import SCALE_FLOOR, FusionNet, ModelConfig, PoseNet
+from poseadapt.optim import load_params, save_params
 from poseadapt.skeleton import default_tree
+from poseadapt.synthdata import DataInvariantError
 
 
 def small_model(seed=0):
@@ -167,6 +170,78 @@ def test_fusion_save_load_round_trip(tmp_path):
     clone.load_weights(prefix)
     after = clone.forward(out.pose_cam.data, out.q_loc.data, out.conf).data
     np.testing.assert_array_equal(before, after)
+
+
+def _rewrite_checkpoint(model, prefix, edit):
+    """Save ``model``, then rewrite its parameter files from the list of
+    parameters that ``edit`` returns (manifest and blob stay consistent)."""
+    model.save(prefix)
+    save_params(edit([Parameter(p.data.copy(), name=p.name)
+                      for p in sorted(model.params.values(), key=lambda p: p.name)]),
+                prefix)
+
+
+def test_load_rejects_missing_entry(tmp_path):
+    prefix = str(tmp_path / "model")
+    _rewrite_checkpoint(small_model(), prefix,
+                        lambda ps: [p for p in ps if p.name != "enc0.b"])
+    with pytest.raises(DataInvariantError, match="missing entries \\['enc0.b'\\]"):
+        PoseNet.load(prefix)
+
+
+def test_load_rejects_extra_entry(tmp_path):
+    prefix = str(tmp_path / "model")
+    _rewrite_checkpoint(small_model(), prefix,
+                        lambda ps: ps + [Parameter(np.zeros(3), name="bogus.w")])
+    with pytest.raises(DataInvariantError, match="unexpected entries \\['bogus.w'\\]"):
+        PoseNet.load(prefix)
+
+
+def test_load_rejects_shape_mismatch(tmp_path):
+    prefix = str(tmp_path / "model")
+
+    def reshape_bias(ps):
+        return [Parameter(np.zeros(5), name=p.name) if p.name == "cam_head.b" else p
+                for p in ps]
+
+    _rewrite_checkpoint(small_model(), prefix, reshape_bias)
+    with pytest.raises(DataInvariantError, match="'cam_head.b' has shape \\[5\\]"):
+        PoseNet.load(prefix)
+
+
+def test_load_rejects_bad_model_description(tmp_path):
+    prefix = str(tmp_path / "model")
+    small_model().save(prefix)
+    with open(prefix + ".config.json", "w") as f:
+        f.write('{"image_size": 32, "bogus": 1}')
+    with pytest.raises(DataInvariantError, match="bogus"):
+        PoseNet.load(prefix)
+
+
+def test_fusion_load_rejects_foreign_checkpoint(tmp_path):
+    model = small_model()
+    prefix = str(tmp_path / "model")
+    model.save(prefix)
+    fusion = FusionNet(tree=model.tree, config=model.config,
+                       rng=np.random.default_rng(0))
+    before = {k: p.data.copy() for k, p in fusion.params.items()}
+    with pytest.raises(DataInvariantError):
+        fusion.load_weights(prefix)
+    for k, p in fusion.params.items():  # nothing copied on failure
+        np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_load_params_rejects_blob_length_mismatch(tmp_path):
+    prefix = str(tmp_path / "ckpt")
+    save_params([Parameter(np.ones((2, 3)), name="a")], prefix)
+    with open(prefix + ".bin", "ab") as f:
+        f.write(np.zeros(1).tobytes())
+    with pytest.raises(DataInvariantError, match="blob holds 7 floats"):
+        load_params(prefix)
+    with open(prefix + ".json", "w") as f:
+        f.write('{"params": [{"name": "a"}]}')
+    with pytest.raises(DataInvariantError, match="bad manifest"):
+        load_params(prefix)
 
 
 def test_model_config_rejects_unknown_keys():

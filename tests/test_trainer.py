@@ -1,5 +1,7 @@
 """Loss terms, optimizers, AUROC, metrics logging, and short training runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from poseadapt import autodiff as ad
 from poseadapt.autodiff import Parameter, Tensor
 from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.model import ModelConfig, PoseNet
-from poseadapt.optim import Adam, load_params, save_params
+from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import DomainSpec, build_dataset
-from poseadapt.trainer import (HyperParams, METRIC_COLUMNS, auroc,
-                               histogram_groups, loss_bg_entropy,
+from poseadapt.trainer import (HyperParams, METRIC_COLUMNS, NonFiniteLossError,
+                               auroc, histogram_groups, loss_bg_entropy,
                                loss_bg_uncertainty, loss_entropy_max,
                                loss_entropy_min, loss_psup_target,
                                loss_sup_occlusion_aware, loss_sup_source,
@@ -63,6 +65,41 @@ def test_adam_matches_reference_implementation():
         p.grad[...] = g
         opt.step()
     np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=1e-12)
+
+
+def whole_array_adam_step(p, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: the unchunked in-place update sequence that ``Adam.step``
+    runs chunk by chunk."""
+    alpha = lr / (1.0 - b1 ** t)
+    corr2 = np.sqrt(1.0 - b2 ** t)
+    m *= b1
+    m += (1.0 - b1) * p.grad
+    v *= b2
+    v += (1.0 - b2) * np.square(p.grad)
+    denom = np.sqrt(v)
+    denom /= corr2
+    denom += eps
+    p.data -= alpha * m / denom
+
+
+def test_chunked_adam_is_bit_identical_to_whole_array_update():
+    rng = np.random.default_rng(3)
+    shapes = [(70_001,), (4, 3), (CHUNK,)]  # ragged tail, tiny, exactly one chunk
+    params = [Parameter(rng.standard_normal(s)) for s in shapes]
+    ref = [Parameter(p.data.copy()) for p in params]
+    moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    for t in range(1, 6):
+        for p, r in zip(params, ref):
+            p.grad[...] = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-6, 3)
+            r.grad[...] = p.grad
+        opt.step()
+        for r, (m, v) in zip(ref, moments):
+            whole_array_adam_step(r, m, v, t, lr=0.01)
+    for i, (p, r, (m, v)) in enumerate(zip(params, ref, moments)):
+        np.testing.assert_array_equal(p.data, r.data)
+        np.testing.assert_array_equal(opt.m[i], m)
+        np.testing.assert_array_equal(opt.v[i], v)
 
 
 def test_separate_optimizers_keep_independent_moments():
@@ -342,6 +379,46 @@ def test_training_is_deterministic():
     b_params, b_log = run()
     np.testing.assert_array_equal(a_params, b_params)
     assert a_log == b_log
+
+
+@pytest.mark.parametrize("loop", ["pose", "joint"])
+def test_pruned_backward_gives_the_same_training(monkeypatch, loop):
+    cfg, splits = small_splits(seed=16, occ=0.7 if loop == "joint" else 0.0)
+
+    def train():
+        model = PoseNet(config=small_cfg(), rng=np.random.default_rng(16))
+        args = (splits["source"], splits["target"], splits["background"],
+                fast_hp(max_iter=5, k_interval=2, alpha_p=np.inf),
+                np.random.default_rng(16))
+        fn = train_pose_level if loop == "pose" else train_joint_level
+        state = fn(*args, model=model)
+        return {k: p.data.copy() for k, p in model.params.items()}, state.loss_log
+
+    w_pruned, log_pruned = train()
+    # again with a full backward over every leaf of each loss
+    full_backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda loss, wrt=None: full_backward(loss))
+    w_full, log_full = train()
+    assert log_pruned == log_full
+    terms = set().union(*log_pruned)
+    assert ("psup" if loop == "pose" else "ent_bg") in terms
+    for k in w_full:
+        np.testing.assert_array_equal(w_pruned[k], w_full[k])
+
+
+def test_nonfinite_loss_stops_before_the_step():
+    cfg, splits = small_splits(seed=17)
+    poisoned = [dataclasses.replace(s, obs=np.full_like(s.obs, np.nan))
+                for s in splits["source"]]
+    model = PoseNet(config=small_cfg(), rng=np.random.default_rng(17))
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(NonFiniteLossError, match="'sup'") as err:
+        train_pose_level(poisoned, splits["target"], splits["background"],
+                         fast_hp(), np.random.default_rng(17), model=model)
+    assert err.value.term == "sup"
+    for k, p in model.params.items():
+        assert np.isfinite(p.data).all(), k
+        np.testing.assert_array_equal(p.data, before[k])
 
 
 # ---------------------------------------------------------------------------
