@@ -24,9 +24,9 @@ from . import autodiff as ad
 from .config import ExperimentConfig, generate_splits
 from .model import FusionNet, PoseNet
 from .synthdata import DataInvariantError, load_dataset, save_dataset
-from .trainer import (NonFiniteLossError, histogram_groups, metrics_row,
-                      train_fusion, train_joint_level, train_pose_level,
-                      write_metrics_csv)
+from .trainer import (NonFiniteLossError, TrainState, histogram_groups,
+                      metrics_row, train_fusion, train_joint_level,
+                      train_pose_level, write_metrics_csv)
 from .uncertainty import select_joint_pseudo_labels, select_pose_pseudo_labels
 
 EXIT_BAD_CONFIG = 2
@@ -141,7 +141,7 @@ def cmd_train(args):
         fusion = train_fusion(model, splits["source"], splits["target"],
                               pseudo, cfg.hyper, rng)
         fusion.save(os.path.join(out, "fusion"))
-        final = metrics_row(_FusionEvalState(model, pseudo), splits["source_eval"],
+        final = metrics_row(TrainState(model, pseudo), splits["source_eval"],
                             splits["target_eval"], splits["background_eval"],
                             fusion=fusion)
         rows.append(final)
@@ -173,13 +173,6 @@ def cmd_train(args):
     return 0
 
 
-class _FusionEvalState:
-    def __init__(self, model, pseudo):
-        self.model = model
-        self.pseudo = pseudo
-        self.iteration = 0
-
-
 def cmd_evaluate(args):
     cfg = _load_config(args.config, args.seed)
     out = _prepare_out(args.out, cfg)
@@ -191,7 +184,7 @@ def cmd_evaluate(args):
         fusion = FusionNet(tree=model.tree, config=model.config,
                            rng=np.random.default_rng(0))
         fusion.load_weights(args.fusion)
-    row = metrics_row(_FusionEvalState(model, None), splits["source_eval"],
+    row = metrics_row(TrainState(model), splits["source_eval"],
                       splits["target_eval"], splits["background_eval"],
                       fusion=fusion)
     write_metrics_csv([row], os.path.join(out, "metrics.csv"))

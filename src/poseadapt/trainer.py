@@ -1,14 +1,15 @@
-"""Loss terms, the pose-level / joint-level / fusion training loops, and
-evaluation analytics (MPJPE, PA-MPJPE, uncertainty statistics, AUROC).
+"""Loss terms, the one training engine behind the pose-level, joint-level
+and fusion algorithms, and evaluation analytics (MPJPE, PA-MPJPE,
+uncertainty statistics, AUROC).
 
-Every loss term owns its own Adam optimizer; within an iteration the
-updates run sequentially in the algorithm's order.
+Each algorithm is a table of loss terms run by ``_run``. Every term owns
+its own Adam optimizer; within an iteration the terms step sequentially in
+the table's order.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -19,11 +20,9 @@ from .autodiff import Tensor
 from .model import FusionNet, PoseNet
 from .optim import Adam
 from .skeleton import mpjpe, pa_mpjpe
-from .uncertainty import (PseudoLabelSet, joint_uncertainty, pose_uncertainty,
+from .uncertainty import (joint_uncertainty, pose_uncertainty,
                           pose_uncertainty_np, predict,
                           select_joint_pseudo_labels, select_pose_pseudo_labels)
-
-LN_GRID = None  # entropy ceiling is config dependent; computed per call
 
 
 @dataclass
@@ -82,12 +81,9 @@ class HyperParams:
 @dataclass
 class TrainState:
     model: PoseNet
-    fusion: FusionNet | None
-    optimizers: dict
-    pseudo: object
-    iteration: int
-    metrics: list = field(default_factory=list)
-    loss_log: list = field(default_factory=list)
+    pseudo: object = None       # the current pseudo-label selection
+    iteration: int = 0
+    loss_log: list = field(default_factory=list)  # one {term: loss} per iteration
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +97,15 @@ def _per_joint_heat_mse(out, h_gt):
     return ad.tmean(ad.mul(d, d), axis=-1)  # (B, J)
 
 
-def _per_joint_pose_mse(out, p_gt):
-    d = ad.sub(out.pose_cam, Tensor(p_gt))
+def _per_joint_pose_mse(pose, p_gt):
+    d = ad.sub(pose, Tensor(p_gt))
     return ad.tmean(ad.mul(d, d), axis=-1)  # (B, J)
+
+
+def _weighted_joints(per_joint, w):
+    """Batch mean of the per-sample sums of ``w``-weighted (B, J) values;
+    ``w`` is a constant."""
+    return ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(w)), axis=-1))
 
 
 def loss_sup_source(out, h_gt, p_gt, hp):
@@ -127,9 +129,10 @@ def loss_tgt_uncertainty(out):
 
 def normalized_confidences(conf):
     """Per-sample confidence weights summing to one; treated as constants
-    (no gradient through the weights)."""
+    (no gradient through the weights). A sample whose confidences are all
+    masked to zero gets zero weights."""
     conf = np.asarray(conf, dtype=np.float64)
-    return conf / conf.sum(axis=-1, keepdims=True)
+    return conf / np.maximum(conf.sum(axis=-1, keepdims=True), 1e-12)
 
 
 def loss_psup_target(out, h_pl, p_pl, hp, weights=None):
@@ -138,8 +141,8 @@ def loss_psup_target(out, h_pl, p_pl, hp, weights=None):
     if weights is None:
         weights = normalized_confidences(out.conf)
     per_joint = ad.add(_per_joint_heat_mse(out, h_pl),
-                       ad.scale(_per_joint_pose_mse(out, p_pl), hp.lam))
-    return ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(weights)), axis=-1))
+                       ad.scale(_per_joint_pose_mse(out.pose_cam, p_pl), hp.lam))
+    return _weighted_joints(per_joint, weights)
 
 
 def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp,
@@ -161,7 +164,7 @@ def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp,
     cancel before normalization, and the hinges gate the pressure off once
     a joint is flat (or sharp) enough."""
     per_joint = ad.add(_per_joint_heat_mse(out, h_gt),
-                       ad.scale(_per_joint_pose_mse(out, p_gt), hp.lam1))
+                       ad.scale(_per_joint_pose_mse(out.pose_cam, p_gt), hp.lam1))
     in_w = Tensor(np.asarray(in_mask, dtype=np.float64))
     sup = ad.tsum(ad.mul(per_joint, in_w), axis=-1)
     out_w = Tensor(np.asarray(out_mask, dtype=np.float64))
@@ -187,19 +190,12 @@ def loss_entropy_max(out, mask=None, margin=None):
     b, j, h, w = out.heatmap.shape
     margin = math.log(h * w) if margin is None else margin
     gap = ad.relu(ad.sub(Tensor(margin), joint_uncertainty(out)))
-    if mask is not None:
-        gap = ad.mul(gap, Tensor(np.asarray(mask, dtype=np.float64)))
-    return ad.tmean(ad.tsum(gap, axis=-1))
+    return ad.tmean(ad.tsum(gap, axis=-1)) if mask is None else _weighted_joints(gap, mask)
 
 
 def loss_entropy_min(out, mask):
     """Mean over the batch of the summed masked joint entropies."""
-    ent = ad.mul(joint_uncertainty(out), Tensor(np.asarray(mask, dtype=np.float64)))
-    return ad.tmean(ad.tsum(ent, axis=-1))
-
-
-def loss_bg_entropy(out, margin=None):
-    return loss_entropy_max(out, mask=None, margin=margin)
+    return _weighted_joints(joint_uncertainty(out), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +206,8 @@ def _batch_indices(rng, n, batch_size):
     return rng.integers(0, n, size=min(batch_size, max(n, 1)))
 
 
-def _gather(samples, idx):
-    return [samples[int(i)] for i in idx]
-
-
-def _obs(batch):
-    return np.stack([s.obs for s in batch])
+def _stack(batch, name):
+    return np.stack([getattr(s, name) for s in batch])
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -262,6 +254,49 @@ def _make_optimizers(model, hp, names):
 
 
 # ---------------------------------------------------------------------------
+# the training engine
+
+
+def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
+    """The training loop of every algorithm.
+
+    Every ``hp.k_interval`` iterations, starting at 0, ``refresh(model,
+    iteration)`` (if given) replaces ``state.pseudo``, and then
+    ``eval_hook(state)`` runs; the hook runs once more after the last
+    iteration. Each iteration steps the terms ``terms(state)`` yields, in
+    order. A term ``(name, samples, ids, loss)`` draws one batch from
+    ``ids`` (indices into ``samples``), forwards it through ``state.model``
+    and takes the step of ``opts[name]`` on ``loss(out, batch, pick)``,
+    where ``pick`` holds the drawn ids. The ``{name: loss}`` dict of the
+    iteration goes to ``state.loss_log.append``, looked up every iteration,
+    so an eval hook may replace the log.
+    """
+    for it in range(iterations):
+        state.iteration = it
+        if it % hp.k_interval == 0:
+            if refresh is not None:
+                state.pseudo = refresh(state.model, it)
+            if eval_hook is not None:
+                eval_hook(state)
+        losses = {}
+        for name, samples, ids, loss in terms(state):
+            pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
+            batch = [samples[i] for i in pick]
+            out = state.model.forward(_stack(batch, "obs"))
+            losses[name] = _update(opts, name, loss(out, batch, pick))
+        state.loss_log.append(losses)
+    state.iteration = iterations
+    if eval_hook is not None:
+        eval_hook(state)
+    return state
+
+
+def _psup_loss(out, sel, pick, hp, weights=None):
+    return loss_psup_target(out, np.stack([sel.h[i] for i in pick]),
+                            np.stack([sel.p[i] for i in pick]), hp, weights)
+
+
+# ---------------------------------------------------------------------------
 # training algorithms
 
 
@@ -281,46 +316,31 @@ def train_pose_level(ds, dt, db, hp, rng, model=None, enable=POSE_LEVEL_TERMS,
     if model is None:
         model = PoseNet(rng=rng)
     enable = tuple(enable)
-    opts = _make_optimizers(model, hp, POSE_LEVEL_TERMS)
-    state = TrainState(model=model, fusion=None, optimizers=opts,
-                       pseudo=None, iteration=0)
-    hs = model.config.heatmap_size
-    for it in range(hp.max_iter):
-        state.iteration = it
-        if "psup" in enable and dt and it % hp.k_interval == 0:
-            state.pseudo = select_pose_pseudo_labels(
-                model, dt, hp.alpha_p, heatmap_size=hs, sigma=hp.sigma, iteration=it)
-        if eval_hook is not None and it % hp.k_interval == 0:
-            eval_hook(state)
-        losses = {}
+
+    def refresh(model, it):
+        return select_pose_pseudo_labels(model, dt, hp.alpha_p,
+                                         heatmap_size=model.config.heatmap_size,
+                                         sigma=hp.sigma, iteration=it)
+
+    def terms(state):
         if "sup" in enable and ds:
-            batch = _gather(ds, _batch_indices(rng, len(ds), hp.batch_size))
-            out = model.forward(_obs(batch))
-            losses["sup"] = _update(opts, "sup", loss_sup_source(
-                out, np.stack([s.gt_h for s in batch]),
-                np.stack([s.gt_p for s in batch]), hp))
+            yield "sup", ds, range(len(ds)), lambda out, batch, pick: \
+                loss_sup_source(out, _stack(batch, "gt_h"), _stack(batch, "gt_p"), hp)
         if "bg" in enable and db:
-            batch = _gather(db, _batch_indices(rng, len(db), hp.batch_size))
-            out = model.forward(_obs(batch))
-            losses["bg"] = _update(opts, "bg", loss_bg_uncertainty(out, hp))
+            yield "bg", db, range(len(db)), lambda out, batch, pick: \
+                loss_bg_uncertainty(out, hp)
         if "tgt" in enable and dt:
-            batch = _gather(dt, _batch_indices(rng, len(dt), hp.batch_size))
-            out = model.forward(_obs(batch))
-            losses["tgt"] = _update(opts, "tgt", loss_tgt_uncertainty(out))
-        if "psup" in enable and state.pseudo is not None and len(state.pseudo) > 0:
-            ids = state.pseudo.ids
-            pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
-            batch = _gather(dt, pick)
-            out = model.forward(_obs(batch))
-            h_pl = np.stack([state.pseudo.h[i] for i in pick])
-            p_pl = np.stack([state.pseudo.p[i] for i in pick])
-            losses["psup"] = _update(opts, "psup",
-                                     loss_psup_target(out, h_pl, p_pl, hp))
-        state.loss_log.append(losses)
-    state.iteration = hp.max_iter
-    if eval_hook is not None:
-        eval_hook(state)
-    return state
+            yield "tgt", dt, range(len(dt)), lambda out, batch, pick: \
+                loss_tgt_uncertainty(out)
+        sel = state.pseudo
+        if "psup" in enable and sel is not None and len(sel) > 0:
+            yield "psup", dt, sel.ids, lambda out, batch, pick: \
+                _psup_loss(out, sel, pick, hp)
+
+    return _run(TrainState(model), hp, rng,
+                _make_optimizers(model, hp, POSE_LEVEL_TERMS), terms, hp.max_iter,
+                refresh=refresh if "psup" in enable and dt else None,
+                eval_hook=eval_hook)
 
 
 JOINT_LEVEL_TERMS = ("sup_inv", "ent_outv_s", "ent_bg", "ent_inv_t",
@@ -336,75 +356,48 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
     if model is None:
         model = PoseNet(rng=rng)
     enable = tuple(enable)
-    opts = _make_optimizers(model, hp, JOINT_LEVEL_TERMS)
-    state = TrainState(model=model, fusion=None, optimizers=opts,
-                       pseudo=None, iteration=0)
-    hs = model.config.heatmap_size
-    target_terms = {"ent_inv_t", "ent_outv_t", "psup"}
-    for it in range(hp.max_iter):
-        state.iteration = it
-        if target_terms & set(enable) and dt_o and it % hp.k_interval == 0:
-            state.pseudo = select_joint_pseudo_labels(
-                model, dt_o, hp.alpha_q, hp.alpha_h, heatmap_size=hs,
-                sigma=hp.sigma, iteration=it)
-        if eval_hook is not None and it % hp.k_interval == 0:
-            eval_hook(state)
-        losses = {}
-        if ds_o and ("sup_inv" in enable or "ent_outv_s" in enable):
-            idx = _batch_indices(rng, len(ds_o), hp.batch_size)
-            batch = _gather(ds_o, idx)
-            in_mask = np.stack([s.visibility for s in batch])
-            if "sup_inv" in enable:
-                # Supervision and out-view entropy shaping share one term
-                # (and one optimizer step); see loss_sup_occlusion_aware for
-                # why splitting them misbehaves under per-loss Adam.
-                out = model.forward(_obs(batch))
-                out_mask = (~in_mask) if "ent_outv_s" in enable else \
-                    np.zeros_like(in_mask)
-                loss = loss_sup_occlusion_aware(
-                    out, np.stack([s.gt_h for s in batch]),
-                    np.stack([s.gt_p for s in batch]), in_mask, out_mask,
-                    hp, margin=hp.m_h)
-                losses["sup_inv"] = _update(opts, "sup_inv", loss)
-            elif "ent_outv_s" in enable:
-                out = model.forward(_obs(batch))
-                losses["ent_outv_s"] = _update(
-                    opts, "ent_outv_s", loss_entropy_max(out, ~in_mask, margin=hp.m_h))
+
+    def refresh(model, it):
+        return select_joint_pseudo_labels(model, dt_o, hp.alpha_q, hp.alpha_h,
+                                          heatmap_size=model.config.heatmap_size,
+                                          sigma=hp.sigma, iteration=it)
+
+    def sup_inv(out, batch, pick):
+        in_mask = _stack(batch, "visibility")
+        out_mask = ~in_mask if "ent_outv_s" in enable else np.zeros_like(in_mask)
+        return loss_sup_occlusion_aware(out, _stack(batch, "gt_h"), _stack(batch, "gt_p"),
+                                        in_mask, out_mask, hp, margin=hp.m_h)
+
+    def terms(state):
+        # Supervision and out-view entropy shaping share one term (and one
+        # optimizer step) when both are enabled; see loss_sup_occlusion_aware
+        # for why splitting them misbehaves under per-loss Adam.
+        if "sup_inv" in enable and ds_o:
+            yield "sup_inv", ds_o, range(len(ds_o)), sup_inv
+        elif "ent_outv_s" in enable and ds_o:
+            yield "ent_outv_s", ds_o, range(len(ds_o)), lambda out, batch, pick: \
+                loss_entropy_max(out, ~_stack(batch, "visibility"), margin=hp.m_h)
         if "ent_bg" in enable and db:
-            batch = _gather(db, _batch_indices(rng, len(db), hp.batch_size))
-            out = model.forward(_obs(batch))
-            losses["ent_bg"] = _update(opts, "ent_bg",
-                                       loss_bg_entropy(out, margin=hp.m_h))
+            yield "ent_bg", db, range(len(db)), lambda out, batch, pick: \
+                loss_entropy_max(out, margin=hp.m_h)
         sel = state.pseudo
-        if sel is not None and dt_o:
-            if "ent_inv_t" in enable and sel.in_mask.any():
-                idx = _batch_indices(rng, len(dt_o), hp.batch_size)
-                out = model.forward(_obs(_gather(dt_o, idx)))
-                losses["ent_inv_t"] = _update(opts, "ent_inv_t",
-                                              loss_entropy_min(out, sel.in_mask[idx]))
-            if "ent_outv_t" in enable and sel.out_mask.any():
-                idx = _batch_indices(rng, len(dt_o), hp.batch_size)
-                out = model.forward(_obs(_gather(dt_o, idx)))
-                losses["ent_outv_t"] = _update(
-                    opts, "ent_outv_t",
-                    loss_entropy_max(out, sel.out_mask[idx], margin=hp.m_h))
-            if "psup" in enable and sel.q:
-                ids = sorted(sel.q)
-                pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
-                out = model.forward(_obs(_gather(dt_o, pick)))
-                mask = sel.in_mask[pick].astype(np.float64)
-                conf = out.conf * mask
-                weights = conf / np.maximum(conf.sum(axis=-1, keepdims=True), 1e-12)
-                h_pl = np.stack([sel.h[i] for i in pick])
-                p_pl = np.stack([sel.p[i] for i in pick])
-                losses["psup"] = _update(opts, "psup",
-                                         loss_psup_target(out, h_pl, p_pl, hp,
-                                                          weights=weights))
-        state.loss_log.append(losses)
-    state.iteration = hp.max_iter
-    if eval_hook is not None:
-        eval_hook(state)
-    return state
+        if sel is None or not dt_o:
+            return
+        if "ent_inv_t" in enable and sel.in_mask.any():
+            yield "ent_inv_t", dt_o, range(len(dt_o)), lambda out, batch, pick: \
+                loss_entropy_min(out, sel.in_mask[pick])
+        if "ent_outv_t" in enable and sel.out_mask.any():
+            yield "ent_outv_t", dt_o, range(len(dt_o)), lambda out, batch, pick: \
+                loss_entropy_max(out, sel.out_mask[pick], margin=hp.m_h)
+        if "psup" in enable and sel.q:
+            yield "psup", dt_o, sorted(sel.q), lambda out, batch, pick: _psup_loss(
+                out, sel, pick, hp, normalized_confidences(out.conf * sel.in_mask[pick]))
+
+    target_terms = {"ent_inv_t", "ent_outv_t", "psup"}
+    return _run(TrainState(model), hp, rng,
+                _make_optimizers(model, hp, JOINT_LEVEL_TERMS), terms, hp.max_iter,
+                refresh=refresh if target_terms & set(enable) and dt_o else None,
+                eval_hook=eval_hook)
 
 
 def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
@@ -415,38 +408,34 @@ def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
     losses to in-view joints."""
     if fusion is None:
         fusion = FusionNet(tree=model.tree, config=model.config, rng=rng)
-    max_iter = hp.max_iter if max_iter is None else max_iter
-    opts = {name: Adam(fusion.parameters(), lr=hp.lr_for(name))
-            for name in ("fusion_sup", "fusion_psup")}
-    pseudo_ids = sorted(pseudo.q) if pseudo is not None else []
-    for _ in range(max_iter):
-        batch = _gather(source, _batch_indices(rng, len(source), hp.batch_size))
-        out = model.forward(_obs(batch))
+
+    def fused(out):
         # detached inputs keep the main model frozen
-        pf = fusion.forward(out.pose_cam.data, out.q_loc.data, out.conf)
-        p_gt = np.stack([s.gt_p for s in batch])
+        return fusion.forward(out.pose_cam.data, out.q_loc.data, out.conf)
+
+    def sup(out, batch, pick):
+        p_gt = _stack(batch, "gt_p")
         if joint_level:
-            mask = np.stack([s.visibility for s in batch]).astype(np.float64)
-            d = ad.sub(pf, Tensor(p_gt))
-            per_joint = ad.tmean(ad.mul(d, d), axis=-1)
-            loss = ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(mask)), axis=-1))
-        else:
-            loss = ad.mse(pf, Tensor(p_gt))
-        _update(opts, "fusion_sup", loss)
+            return _weighted_joints(_per_joint_pose_mse(fused(out), p_gt),
+                                    _stack(batch, "visibility"))
+        return ad.mse(fused(out), Tensor(p_gt))
+
+    def psup(out, batch, pick):
+        conf = out.conf * pseudo.in_mask[pick] if joint_level else out.conf
+        return _weighted_joints(
+            _per_joint_pose_mse(fused(out), np.stack([pseudo.p[i] for i in pick])),
+            normalized_confidences(conf))
+
+    pseudo_ids = sorted(pseudo.q) if pseudo is not None else []
+
+    def terms(state):
+        yield "fusion_sup", source, range(len(source)), sup
         if pseudo_ids:
-            pick = [pseudo_ids[int(i)]
-                    for i in _batch_indices(rng, len(pseudo_ids), hp.batch_size)]
-            batch = _gather(target, pick)
-            out = model.forward(_obs(batch))
-            pf = fusion.forward(out.pose_cam.data, out.q_loc.data, out.conf)
-            conf = out.conf
-            if joint_level:
-                conf = conf * pseudo.in_mask[pick]
-            weights = conf / np.maximum(conf.sum(axis=-1, keepdims=True), 1e-12)
-            d = ad.sub(pf, Tensor(np.stack([pseudo.p[i] for i in pick])))
-            per_joint = ad.tmean(ad.mul(d, d), axis=-1)
-            loss = ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(weights)), axis=-1))
-            _update(opts, "fusion_psup", loss)
+            yield "fusion_psup", target, pseudo_ids, psup
+
+    _run(TrainState(model, pseudo), hp, rng,
+         _make_optimizers(fusion, hp, ("fusion_sup", "fusion_psup")), terms,
+         hp.max_iter if max_iter is None else max_iter)
     return fusion
 
 
@@ -477,15 +466,6 @@ def auroc(pos, neg):
                  / (len(pos) * len(neg)))
 
 
-def fused_poses(model, fusion, samples, batch_size=64):
-    out = []
-    for lo in range(0, len(samples), batch_size):
-        batch = samples[lo:lo + batch_size]
-        o = model.forward(_obs(batch))
-        out.append(fusion.forward(o.pose_cam.data, o.q_loc.data, o.conf).data)
-    return np.concatenate(out)
-
-
 def evaluate(model, samples, fusion=None):
     """Metrics over one dataset: MPJPE / PA-MPJPE (overall and in-view
     only) for the regression head and optionally the fused pose, plus mean
@@ -498,7 +478,7 @@ def evaluate(model, samples, fusion=None):
         vis = np.stack([s.visibility for s in samples])
         row.update(_pose_errors(pred["pose_cam"], gts, vis, prefix=""))
         if fusion is not None:
-            fused = fused_poses(model, fusion, samples)
+            fused = fusion.forward(pred["pose_cam"], pred["q_loc"], pred["conf"]).data
             row.update(_pose_errors(fused, gts, vis, prefix="fused_"))
     row["u_scores"] = u
     row["entropies"] = pred["entropy"]
@@ -551,7 +531,7 @@ def metrics_row(state, source, target, background, fusion=None):
         "mean_h_inv_t": _masked_mean(ev_t["entropies"], vis_t),
         "mean_h_outv_t": _masked_mean(ev_t["entropies"], ~vis_t),
         "mean_h_bg": float(ev_b["entropies"].mean()),
-        "pseudo_count": _pseudo_count(state.pseudo),
+        "pseudo_count": 0 if state.pseudo is None else len(state.pseudo),
         "auroc_u_bg_vs_source": auroc(ev_b["u_scores"], ev_s["u_scores"]),
         "auroc_h_outv_vs_inv_target": (
             auroc(ev_t["entropies"][~vis_t], ev_t["entropies"][vis_t])
@@ -562,14 +542,6 @@ def metrics_row(state, source, target, background, fusion=None):
 
 def _masked_mean(values, mask):
     return float(values[mask].mean()) if mask.any() else float("nan")
-
-
-def _pseudo_count(pseudo):
-    if pseudo is None:
-        return 0
-    if isinstance(pseudo, PseudoLabelSet):
-        return len(pseudo)
-    return len(pseudo.in_view)
 
 
 def write_metrics_csv(rows, path):

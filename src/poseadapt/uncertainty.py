@@ -144,6 +144,10 @@ class JointSelection:
     alpha_h: float
     iteration: int = 0
 
+    def __len__(self):
+        """The number of selected in-view (sample, joint) pairs."""
+        return len(self.in_view)
+
     def to_json(self):
         return json.dumps({
             "iteration": self.iteration, "alpha_q": self.alpha_q,

@@ -12,15 +12,16 @@ from poseadapt.model import ModelConfig, PoseNet
 from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import DomainSpec, build_dataset
-from poseadapt.trainer import (HyperParams, METRIC_COLUMNS, NonFiniteLossError,
-                               auroc, histogram_groups, loss_bg_entropy,
+from poseadapt.trainer import (HyperParams, JOINT_LEVEL_TERMS, METRIC_COLUMNS,
+                               NonFiniteLossError, auroc, histogram_groups,
                                loss_bg_uncertainty, loss_entropy_max,
                                loss_entropy_min, loss_psup_target,
                                loss_sup_occlusion_aware, loss_sup_source,
                                metrics_row, normalized_confidences,
                                train_fusion, train_joint_level,
                                train_pose_level, write_metrics_csv)
-from poseadapt.uncertainty import select_pose_pseudo_labels
+from poseadapt.uncertainty import (select_joint_pseudo_labels,
+                                   select_pose_pseudo_labels)
 
 TREE = default_tree()
 
@@ -218,7 +219,6 @@ def test_entropy_shaping_losses():
     assert gap >= -1e-9  # bounded surrogate
     mn = float(loss_entropy_min(out, mask).data)
     assert mn == pytest.approx(np.mean(np.sum(ent, axis=-1)), abs=1e-6)
-    assert float(loss_bg_entropy(out).data) == pytest.approx(gap, abs=1e-12)
 
 
 def test_confidence_weights_receive_no_gradient():
@@ -336,31 +336,81 @@ def test_pseudo_labels_refresh_on_schedule():
     assert len(state.pseudo) == len(splits["target"])
 
 
-def test_joint_level_training_runs():
+@pytest.mark.parametrize("enable, logged", [
+    # out-view shaping folds into the supervised term when both are on
+    (JOINT_LEVEL_TERMS, {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"}),
+    (("sup_inv", "psup"), {"sup_inv", "psup"}),
+    # out-view shaping without supervision is a term of its own
+    (("ent_outv_s", "ent_bg"), {"ent_outv_s", "ent_bg"}),
+], ids=["all", "sup-psup", "shaping-only"])
+def test_joint_level_training_runs(enable, logged):
     cfg, splits = small_splits(seed=13, occ=0.7)
+    # thresholds that select both in-view and out-view target pairs
     state = train_joint_level(splits["source"], splits["target"],
-                              splits["background"], fast_hp(),
+                              splits["background"],
+                              fast_hp(alpha_q=5.2, alpha_h=6.0),
                               np.random.default_rng(13),
                               model=PoseNet(config=small_cfg(),
-                                            rng=np.random.default_rng(13)))
+                                            rng=np.random.default_rng(13)),
+                              enable=enable)
     assert len(state.loss_log) == 12
     seen = set()
     for row in state.loss_log:
         seen |= set(row)
         for name, value in row.items():
             assert np.isfinite(value), name
-    assert "sup_inv" in seen and "ent_bg" in seen
+    assert seen == logged
+    assert (state.pseudo is None) == ("psup" not in enable)
 
 
-def test_fusion_training_keeps_main_model_frozen():
-    cfg, splits = small_splits(seed=14)
+@pytest.mark.parametrize("loop", ["pose", "joint"])
+def test_eval_hook_sees_fresh_pseudo_labels_and_a_replaceable_loss_log(loop):
+    # Every eval-hook call comes after that iteration's refresh, with one
+    # loss dict logged per finished iteration; a log the hook puts in
+    # place of state.loss_log receives every later append.
+    cfg, splits = small_splits(seed=18, occ=0.7 if loop == "joint" else 0.0)
+    hp = fast_hp(max_iter=13, k_interval=5, alpha_p=np.inf, alpha_q=np.inf)
+    logs, calls = [], []
+
+    def hook(state):
+        if not logs:
+            logs.append(state.loss_log)
+        calls.append((state.iteration, state.pseudo.iteration,
+                      sum(len(log) for log in logs)))
+        logs.append([])
+        state.loss_log = logs[-1]
+
+    fn = train_pose_level if loop == "pose" else train_joint_level
+    state = fn(splits["source"], splits["target"], splits["background"], hp,
+               np.random.default_rng(18),
+               model=PoseNet(config=small_cfg(), rng=np.random.default_rng(18)),
+               eval_hook=hook)
+    assert calls == [(0, 0, 0), (5, 5, 5), (10, 10, 10), (13, 10, 13)]
+    assert [len(log) for log in logs] == [0, 5, 5, 3, 0]
+    assert state.loss_log is logs[-1]
+    assert all(row for log in logs for row in log)
+
+
+@pytest.mark.parametrize("joint_level", [False, True], ids=["pose", "joint"])
+def test_fusion_training_keeps_main_model_frozen(joint_level):
+    cfg, splits = small_splits(seed=14, occ=0.5 if joint_level else 0.0)
     model = PoseNet(config=small_cfg(), rng=np.random.default_rng(14))
     before = {k: p.data.copy() for k, p in model.params.items()}
-    pseudo = select_pose_pseudo_labels(model, splits["target"], np.inf)
+    if joint_level:
+        # the lower half of the pairs becomes in-view pseudo-labels
+        scores = select_joint_pseudo_labels(model, splits["target"], -np.inf,
+                                            np.inf).scores
+        pseudo = select_joint_pseudo_labels(model, splits["target"],
+                                            np.median(scores), np.inf)
+        assert 0 < len(pseudo) < scores.size
+    else:
+        pseudo = select_pose_pseudo_labels(model, splits["target"], np.inf)
     fusion = train_fusion(model, splits["source"], splits["target"], pseudo,
-                          fast_hp(), np.random.default_rng(14), max_iter=8)
+                          fast_hp(), np.random.default_rng(14), max_iter=8,
+                          joint_level=joint_level)
     for k, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[k])
+    assert np.abs(fusion.params["fuse_out.w"].data).max() > 0.0
     out = model.forward(np.stack([s.obs for s in splits["source"][:2]]))
     fused = fusion.forward(out.pose_cam.data, out.q_loc.data, out.conf)
     assert fused.shape == (2, TREE.joint_count, 3)
