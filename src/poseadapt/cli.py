@@ -135,9 +135,8 @@ def cmd_train(args):
         model = _load_model(args.model) if args.model else None
         if model is None:
             _fail(EXIT_MISSING_FILES, "fusion training needs --model")
-        pseudo = select_pose_pseudo_labels(
-            model, splits["target"], cfg.hyper.alpha_p,
-            heatmap_size=model.config.heatmap_size, sigma=cfg.hyper.sigma)
+        pseudo = select_pose_pseudo_labels(model, splits["target"],
+                                           cfg.hyper.alpha_p, sigma=cfg.hyper.sigma)
         fusion = train_fusion(model, splits["source"], splits["target"],
                               pseudo, cfg.hyper, rng)
         fusion.save(os.path.join(out, "fusion"))

@@ -48,30 +48,33 @@ def joint_confidence(heat):
 def entropy(heat, j=None):
     """Self-entropy (natural log) of joint slices; 0*log(0) := 0.
 
-    With ``j`` given returns a scalar, otherwise the per-joint vector.
+    A (..., J, H, W) stack gives (..., J) entropies; with ``j`` given a
+    single (J, H, W) heatmap gives the scalar entropy of joint ``j``.
     """
     heat = np.asarray(heat, dtype=np.float64)
-    sel = heat if j is None else heat[j:j + 1]
-    flat = sel.reshape(sel.shape[0], -1)
+    flat = heat.reshape(heat.shape[:-2] + (-1,))
     terms = np.where(flat > 0, flat * np.log(np.maximum(flat, 1e-300)), 0.0)
     ent = -terms.sum(axis=-1)
-    return float(ent[0]) if j is not None else ent
+    return ent if j is None else float(ent[j])
 
 
 def render_gaussian_heatmap(q, sigma, grid_hw):
     """Isotropic Gaussian per joint evaluated at cell centers and
-    renormalized to a PDF. ``sigma`` is in grid cells. Joints outside the
-    frame still render (possibly tiny mass) and renormalize."""
+    renormalized to a PDF: (..., J, 2) poses give (..., J, H, W) heatmaps.
+    ``sigma`` is in grid cells. Joints outside the frame still render
+    (possibly tiny mass) and renormalize."""
     q = np.asarray(q, dtype=np.float64)
     h, w = grid_hw
     centers = cell_centers(h, w)  # (H*W, 2)
     # distances in cell units so sigma means the same on any grid
-    du = (centers[None, :, 0] - q[:, None, 0]) * w
-    dv = (centers[None, :, 1] - q[:, None, 1]) * h
-    logits = -(du ** 2 + dv ** 2) / (2.0 * sigma ** 2)
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return (e / e.sum(axis=-1, keepdims=True)).reshape(len(q), h, w)
+    du2 = ((centers[:, 0] - q[..., None, 0]) * w) ** 2
+    dv2 = ((centers[:, 1] - q[..., None, 1]) * h) ** 2
+    # in place from here: a stack of poses keeps three grids alive, not five
+    e = -(du2 + dv2) / (2.0 * sigma ** 2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e.reshape(q.shape[:-1] + (h, w))
 
 
 def flip_heatmap(heat, tree):
@@ -80,11 +83,12 @@ def flip_heatmap(heat, tree):
 
 
 def flip_joint_ids(arr, tree):
-    """Permute the joint axis by the left/right swap; for 2D poses also
-    mirror the horizontal coordinate (u -> 1 - u)."""
-    out = np.asarray(arr, dtype=np.float64)[tree.lr_swap].copy()
-    if out.ndim == 2 and out.shape[-1] == 2:
-        out[:, 0] = 1.0 - out[:, 0]
+    """Permute the joint axis (second to last) of a (..., J, C) array by
+    the left/right swap; for 2D poses (C = 2) also mirror the horizontal
+    coordinate (u -> 1 - u)."""
+    out = np.asarray(arr, dtype=np.float64)[..., tree.lr_swap, :]
+    if out.shape[-1] == 2:
+        out[..., 0] = 1.0 - out[..., 0]
     return out
 
 

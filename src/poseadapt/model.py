@@ -71,10 +71,6 @@ class NetworkOutputs:
     pose_cam: Tensor     # (B, J, 3) rotated 3D pose
     q_proj: Tensor       # (B, J, 2) projected coordinates
 
-    @property
-    def batch_size(self):
-        return self.heatmap.shape[0]
-
 
 def _init_dense(rng, fan_in, fan_out, name, params):
     bound = np.sqrt(6.0 / (fan_in + fan_out))

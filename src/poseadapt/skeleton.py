@@ -225,12 +225,15 @@ def apply_lr_swap(arr, tree):
 
 
 def mpjpe(pred, gt):
-    """Mean per-joint Euclidean distance after root-aligning both poses."""
+    """Mean per-joint Euclidean distance after root-aligning both poses.
+    (..., J, 3) stacks give (...) errors; a single pose gives a float."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    return float(np.mean(np.linalg.norm((pred - pred[0]) - (gt - gt[0]), axis=-1)))
+    err = np.linalg.norm((pred - pred[..., :1, :]) - (gt - gt[..., :1, :]),
+                         axis=-1).mean(axis=-1)
+    return float(err) if err.ndim == 0 else err
 
 
 def procrustes_align(pred, gt):

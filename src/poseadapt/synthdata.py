@@ -265,10 +265,11 @@ def _bilinear_zoom(img, u0, v0, frac):
 
 def mirror_pose3d(pose, tree):
     """3D analog of the image flip: negate the axis that projects to the
-    horizontal image coordinate, then swap left/right joint ids."""
+    horizontal image coordinate, then swap left/right joint ids; takes
+    (..., J, 3) poses."""
     out = np.asarray(pose, dtype=np.float64).copy()
-    out[:, 0] = -out[:, 0]
-    return out[tree.lr_swap]
+    out[..., 0] = -out[..., 0]
+    return out[..., tree.lr_swap, :]
 
 
 def flip_observation(sample, tree):

@@ -203,7 +203,7 @@ def loss_entropy_min(out, mask):
 
 
 def _batch_indices(rng, n, batch_size):
-    return rng.integers(0, n, size=min(batch_size, max(n, 1)))
+    return rng.integers(0, n, size=min(batch_size, n))
 
 
 def _stack(batch, name):
@@ -267,9 +267,10 @@ def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
     order. A term ``(name, samples, ids, loss)`` draws one batch from
     ``ids`` (indices into ``samples``), forwards it through ``state.model``
     and takes the step of ``opts[name]`` on ``loss(out, batch, pick)``,
-    where ``pick`` holds the drawn ids. The ``{name: loss}`` dict of the
-    iteration goes to ``state.loss_log.append``, looked up every iteration,
-    so an eval hook may replace the log.
+    where ``pick`` holds the drawn ids; a term with no ids is skipped
+    before it draws. The ``{name: loss}`` dict of the iteration goes to
+    ``state.loss_log.append``, looked up every iteration, so an eval hook
+    may replace the log.
     """
     for it in range(iterations):
         state.iteration = it
@@ -280,6 +281,8 @@ def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
                 eval_hook(state)
         losses = {}
         for name, samples, ids, loss in terms(state):
+            if len(ids) == 0:
+                continue
             pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
             batch = [samples[i] for i in pick]
             out = state.model.forward(_stack(batch, "obs"))
@@ -310,30 +313,30 @@ def train_pose_level(ds, dt, db, hp, rng, model=None, enable=POSE_LEVEL_TERMS,
     pseudo-label self-training, refreshed every ``k_interval``.
 
     ``enable`` restricts the active loss terms (ablation runs). An empty
-    dataset disables its terms. ``eval_hook(state)`` runs at every refresh
-    point and after the last iteration.
+    dataset or selection skips its terms (see ``_run``).
+    ``eval_hook(state)`` runs at every refresh point and after the last
+    iteration.
     """
     if model is None:
         model = PoseNet(rng=rng)
     enable = tuple(enable)
 
     def refresh(model, it):
-        return select_pose_pseudo_labels(model, dt, hp.alpha_p,
-                                         heatmap_size=model.config.heatmap_size,
-                                         sigma=hp.sigma, iteration=it)
+        return select_pose_pseudo_labels(model, dt, hp.alpha_p, sigma=hp.sigma,
+                                         iteration=it)
 
     def terms(state):
-        if "sup" in enable and ds:
+        if "sup" in enable:
             yield "sup", ds, range(len(ds)), lambda out, batch, pick: \
                 loss_sup_source(out, _stack(batch, "gt_h"), _stack(batch, "gt_p"), hp)
-        if "bg" in enable and db:
+        if "bg" in enable:
             yield "bg", db, range(len(db)), lambda out, batch, pick: \
                 loss_bg_uncertainty(out, hp)
-        if "tgt" in enable and dt:
+        if "tgt" in enable:
             yield "tgt", dt, range(len(dt)), lambda out, batch, pick: \
                 loss_tgt_uncertainty(out)
         sel = state.pseudo
-        if "psup" in enable and sel is not None and len(sel) > 0:
+        if "psup" in enable and sel is not None:
             yield "psup", dt, sel.ids, lambda out, batch, pick: \
                 _psup_loss(out, sel, pick, hp)
 
@@ -359,7 +362,6 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
 
     def refresh(model, it):
         return select_joint_pseudo_labels(model, dt_o, hp.alpha_q, hp.alpha_h,
-                                          heatmap_size=model.config.heatmap_size,
                                           sigma=hp.sigma, iteration=it)
 
     def sup_inv(out, batch, pick):
@@ -372,16 +374,16 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
         # Supervision and out-view entropy shaping share one term (and one
         # optimizer step) when both are enabled; see loss_sup_occlusion_aware
         # for why splitting them misbehaves under per-loss Adam.
-        if "sup_inv" in enable and ds_o:
+        if "sup_inv" in enable:
             yield "sup_inv", ds_o, range(len(ds_o)), sup_inv
-        elif "ent_outv_s" in enable and ds_o:
+        elif "ent_outv_s" in enable:
             yield "ent_outv_s", ds_o, range(len(ds_o)), lambda out, batch, pick: \
                 loss_entropy_max(out, ~_stack(batch, "visibility"), margin=hp.m_h)
-        if "ent_bg" in enable and db:
+        if "ent_bg" in enable:
             yield "ent_bg", db, range(len(db)), lambda out, batch, pick: \
                 loss_entropy_max(out, margin=hp.m_h)
         sel = state.pseudo
-        if sel is None or not dt_o:
+        if sel is None:
             return
         if "ent_inv_t" in enable and sel.in_mask.any():
             yield "ent_inv_t", dt_o, range(len(dt_o)), lambda out, batch, pick: \
@@ -389,7 +391,7 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
         if "ent_outv_t" in enable and sel.out_mask.any():
             yield "ent_outv_t", dt_o, range(len(dt_o)), lambda out, batch, pick: \
                 loss_entropy_max(out, sel.out_mask[pick], margin=hp.m_h)
-        if "psup" in enable and sel.q:
+        if "psup" in enable:
             yield "psup", dt_o, sorted(sel.q), lambda out, batch, pick: _psup_loss(
                 out, sel, pick, hp, normalized_confidences(out.conf * sel.in_mask[pick]))
 
@@ -426,12 +428,10 @@ def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
             _per_joint_pose_mse(fused(out), np.stack([pseudo.p[i] for i in pick])),
             normalized_confidences(conf))
 
-    pseudo_ids = sorted(pseudo.q) if pseudo is not None else []
-
     def terms(state):
         yield "fusion_sup", source, range(len(source)), sup
-        if pseudo_ids:
-            yield "fusion_psup", target, pseudo_ids, psup
+        if pseudo is not None:
+            yield "fusion_psup", target, sorted(pseudo.q), psup
 
     _run(TrainState(model, pseudo), hp, rng,
          _make_optimizers(fusion, hp, ("fusion_sup", "fusion_psup")), terms,
@@ -486,16 +486,13 @@ def evaluate(model, samples, fusion=None):
 
 
 def _pose_errors(preds, gts, vis, prefix):
-    n = len(preds)
-    errs = np.array([mpjpe(preds[i], gts[i]) for i in range(n)])
-    pa = np.array([pa_mpjpe(preds[i], gts[i]) for i in range(n)])
-    inview = []
-    for i in range(n):
-        d = np.linalg.norm((preds[i] - preds[i][0]) - (gts[i] - gts[i][0]), axis=-1)
-        if vis[i].any():
-            inview.append(d[vis[i]].mean())
-    return {prefix + "mpjpe": float(errs.mean()),
-            prefix + "pa_mpjpe": float(pa.mean()),
+    """Mean MPJPE and PA-MPJPE over (N, J, 3) stacks, and the mean over
+    samples with a visible joint of their root-aligned in-view error."""
+    pa = [pa_mpjpe(p, g) for p, g in zip(preds, gts)]
+    d = np.linalg.norm((preds - preds[:, :1]) - (gts - gts[:, :1]), axis=-1)
+    inview = [row[m].mean() for row, m in zip(d, vis) if m.any()]
+    return {prefix + "mpjpe": float(mpjpe(preds, gts).mean()),
+            prefix + "pa_mpjpe": float(np.mean(pa)),
             prefix + "mpjpe_inview": float(np.mean(inview)) if inview else float("nan")}
 
 

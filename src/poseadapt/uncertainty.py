@@ -3,6 +3,9 @@ pseudo-label selection rules.
 
 Selection always runs on a frozen model snapshot: it only reads forward
 passes, never parameters, so training between refreshes cannot leak in.
+Arrays in, arrays out: prediction, scoring and pseudo-label building each
+work on the whole (N, J, ...) prediction arrays at once, with no loop
+over samples or ids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import heatmap as hm
-from .synthdata import flip_observation, mirror_pose3d
+from .synthdata import mirror_pose3d
 
 
 def pose_uncertainty(out):
@@ -43,42 +46,50 @@ def joint_uncertainty(out):
 def flip_consistency(q_loc, q_proj, q_loc_f, q_proj_f, tree):
     """Equivariance error between predictions on an image and on its
     mirror: |q_proj - F(q_loc')| + |q_loc - F(q_proj')| with each |.| a
-    mean per-joint distance."""
-    a = np.linalg.norm(q_proj - hm.flip_joint_ids(q_loc_f, tree), axis=-1).mean()
-    b = np.linalg.norm(q_loc - hm.flip_joint_ids(q_proj_f, tree), axis=-1).mean()
-    return float(a + b)
+    mean per-joint distance. (..., J, 2) inputs give (...) errors; a single
+    pose gives a float."""
+    a = np.linalg.norm(q_proj - hm.flip_joint_ids(q_loc_f, tree), axis=-1).mean(axis=-1)
+    b = np.linalg.norm(q_loc - hm.flip_joint_ids(q_proj_f, tree), axis=-1).mean(axis=-1)
+    err = a + b
+    return float(err) if err.ndim == 0 else err
 
 
 def predict(model, samples, batch_size=64):
-    """Frozen forward over a sample list; plain numpy outputs."""
+    """Frozen forward over a sample list or an (N, R, R) observation
+    stack; plain numpy (N, ...) outputs."""
+    obs = samples if isinstance(samples, np.ndarray) else np.stack([s.obs for s in samples])
     q_loc, q_proj, pose_cam, conf, ent = [], [], [], [], []
-    for lo in range(0, len(samples), batch_size):
-        obs = np.stack([s.obs for s in samples[lo:lo + batch_size]])
-        out = model.forward(obs)
+    for lo in range(0, len(obs), batch_size):
+        out = model.forward(obs[lo:lo + batch_size])
         q_loc.append(out.q_loc.data)
         q_proj.append(out.q_proj.data)
         pose_cam.append(out.pose_cam.data)
         conf.append(out.conf)
-        ent.append(np.stack([hm.entropy(h) for h in out.heatmap.data]))
+        ent.append(hm.entropy(out.heatmap.data))
     return {"q_loc": np.concatenate(q_loc), "q_proj": np.concatenate(q_proj),
             "pose_cam": np.concatenate(pose_cam), "conf": np.concatenate(conf),
             "entropy": np.concatenate(ent)}
 
 
-def _flip_predictions(model, samples, tree, batch_size=64):
-    flipped = [flip_observation(s, tree) for s in samples]
-    return predict(model, flipped, batch_size)
+def _predict_with_flip(model, samples):
+    """Predictions on the samples and on their horizontal mirrors."""
+    obs = np.stack([s.obs for s in samples])
+    return predict(model, obs), predict(model, obs[:, :, ::-1])
 
 
-def _pseudo_2d(pred, pred_f, tree, i):
-    """Mean of the four equivariance instances of the 2D prediction."""
-    return 0.25 * (pred["q_loc"][i] + pred["q_proj"][i]
-                   + hm.flip_joint_ids(pred_f["q_loc"][i], tree)
-                   + hm.flip_joint_ids(pred_f["q_proj"][i], tree))
-
-
-def _pseudo_3d(pred, pred_f, tree, i):
-    return 0.5 * (pred["pose_cam"][i] + mirror_pose3d(pred_f["pose_cam"][i], tree))
+def _pseudo_labels(model, pred, pred_f, ids, sigma):
+    """Pseudo-labels of the samples ``ids`` as three dicts keyed by id: the
+    2D pose (mean of the four equivariance instances of the 2D
+    prediction), its rendered heatmaps, and the 3D pose (mean of the
+    prediction and the mirrored prediction on the mirror image)."""
+    tree = model.tree
+    q = 0.25 * (pred["q_loc"][ids] + pred["q_proj"][ids]
+                + hm.flip_joint_ids(pred_f["q_loc"][ids], tree)
+                + hm.flip_joint_ids(pred_f["q_proj"][ids], tree))
+    size = model.config.heatmap_size
+    h = hm.render_gaussian_heatmap(q, sigma, (size, size))
+    p = 0.5 * (pred["pose_cam"][ids] + mirror_pose3d(pred_f["pose_cam"][ids], tree))
+    return dict(zip(ids, q)), dict(zip(ids, h)), dict(zip(ids, p))
 
 
 @dataclass
@@ -93,36 +104,23 @@ class PseudoLabelSet:
     threshold: float
     iteration: int = 0
 
-    def __contains__(self, i):
-        return i in self.q
-
     def __len__(self):
         return len(self.ids)
 
     def to_json(self):
         return json.dumps({"iteration": self.iteration, "threshold": self.threshold,
-                           "ids": list(map(int, self.ids)),
-                           "scores": [float(s) for s in self.scores]}, indent=1)
+                           "ids": self.ids, "scores": self.scores.tolist()}, indent=1)
 
 
-def select_pose_pseudo_labels(model, samples, alpha_p, heatmap_size=16,
-                              sigma=1.0, iteration=0):
+def select_pose_pseudo_labels(model, samples, alpha_p, sigma=1.0, iteration=0):
     """Samples whose flip-equivariance error is below ``alpha_p``; pseudo
     ground truth is the prediction average over the equivariance
-    instances."""
-    tree = model.tree
-    pred = predict(model, samples)
-    pred_f = _flip_predictions(model, samples, tree)
-    scores = np.array([
-        flip_consistency(pred["q_loc"][i], pred["q_proj"][i],
-                         pred_f["q_loc"][i], pred_f["q_proj"][i], tree)
-        for i in range(len(samples))])
-    ids = [i for i in range(len(samples)) if scores[i] < alpha_p]
-    q, h, p = {}, {}, {}
-    for i in ids:
-        q[i] = _pseudo_2d(pred, pred_f, tree, i)
-        h[i] = hm.render_gaussian_heatmap(q[i], sigma, (heatmap_size, heatmap_size))
-        p[i] = _pseudo_3d(pred, pred_f, tree, i)
+    instances, with heatmaps on the model's grid."""
+    pred, pred_f = _predict_with_flip(model, samples)
+    scores = flip_consistency(pred["q_loc"], pred["q_proj"], pred_f["q_loc"],
+                              pred_f["q_proj"], model.tree)
+    ids = np.flatnonzero(scores < alpha_p).tolist()
+    q, h, p = _pseudo_labels(model, pred, pred_f, ids, sigma)
     return PseudoLabelSet(ids=ids, q=q, h=h, p=p, scores=scores,
                           threshold=alpha_p, iteration=iteration)
 
@@ -152,42 +150,31 @@ class JointSelection:
         return json.dumps({
             "iteration": self.iteration, "alpha_q": self.alpha_q,
             "alpha_h": self.alpha_h,
-            "in_view": sorted([int(a), int(b)] for a, b in self.in_view),
-            "out_view": sorted([int(a), int(b)] for a, b in self.out_view),
+            "in_view": np.argwhere(self.in_mask).tolist(),
+            "out_view": np.argwhere(self.out_mask).tolist(),
         }, indent=1)
 
 
 def joint_selection_scores(pred, pred_f, tree):
     """Entropy times per-joint flip error, (N, J)."""
-    n = len(pred["entropy"])
-    flip_err = np.stack([
-        np.linalg.norm(pred["q_loc"][i] - hm.flip_joint_ids(pred_f["q_proj"][i], tree),
-                       axis=-1)
-        for i in range(n)])
+    flip_err = np.linalg.norm(pred["q_loc"] - hm.flip_joint_ids(pred_f["q_proj"], tree),
+                              axis=-1)
     return pred["entropy"] * flip_err
 
 
-def select_joint_pseudo_labels(model, samples, alpha_q, alpha_h,
-                               heatmap_size=16, sigma=1.0, iteration=0):
+def select_joint_pseudo_labels(model, samples, alpha_q, alpha_h, sigma=1.0,
+                               iteration=0):
     """Pairs scoring below ``alpha_q`` become in-view pseudo-labels; pairs
     scoring above ``alpha_h`` become out-view; the band in between gets no
-    loss."""
-    tree = model.tree
-    pred = predict(model, samples)
-    pred_f = _flip_predictions(model, samples, tree)
-    scores = joint_selection_scores(pred, pred_f, tree)
+    loss. Every sample with an in-view pair gets pseudo-labels."""
+    pred, pred_f = _predict_with_flip(model, samples)
+    scores = joint_selection_scores(pred, pred_f, model.tree)
     in_mask = scores < alpha_q
-    out_mask = scores > alpha_h
     # a pair can satisfy both only if alpha_h < alpha_q; in-view wins
-    out_mask &= ~in_mask
-    q, h, p = {}, {}, {}
-    for i in range(len(samples)):
-        if in_mask[i].any():
-            q[i] = _pseudo_2d(pred, pred_f, tree, i)
-            h[i] = hm.render_gaussian_heatmap(q[i], sigma, (heatmap_size, heatmap_size))
-            p[i] = _pseudo_3d(pred, pred_f, tree, i)
-    in_view = {(i, j) for i, j in zip(*np.nonzero(in_mask))}
-    out_view = {(i, j) for i, j in zip(*np.nonzero(out_mask))}
-    return JointSelection(in_view=in_view, out_view=out_view, q=q, h=h, p=p,
+    out_mask = (scores > alpha_h) & ~in_mask
+    ids = np.flatnonzero(in_mask.any(axis=1)).tolist()
+    q, h, p = _pseudo_labels(model, pred, pred_f, ids, sigma)
+    return JointSelection(in_view=set(zip(*np.nonzero(in_mask))),
+                          out_view=set(zip(*np.nonzero(out_mask))), q=q, h=h, p=p,
                           in_mask=in_mask, out_mask=out_mask, scores=scores,
                           alpha_q=alpha_q, alpha_h=alpha_h, iteration=iteration)

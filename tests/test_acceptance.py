@@ -235,6 +235,7 @@ def pose_pipeline(tmp_path_factory):
     return {seed: _run_pose_pipeline(seed, tmp) for seed in SEEDS}
 
 
+@pytest.mark.slow
 def test_a3_pose_uncertainty_separates_backgrounds(pose_pipeline):
     for seed in SEEDS:
         res = pose_pipeline[seed]
@@ -244,6 +245,7 @@ def test_a3_pose_uncertainty_separates_backgrounds(pose_pipeline):
         assert res["elapsed"] < 900.0, f"seed {seed}: {res['elapsed']:.0f}s"
 
 
+@pytest.mark.slow
 def test_a4_full_adaptation_beats_ablations(pose_pipeline):
     med = {mode: float(np.median([pose_pipeline[s][mode] for s in SEEDS]))
            for mode, _ in VARIANTS}
@@ -253,6 +255,7 @@ def test_a4_full_adaptation_beats_ablations(pose_pipeline):
     assert total < 2700.0, f"pipeline took {total:.0f}s"
 
 
+@pytest.mark.slow
 def test_a5_fusion_close_to_regression_head(pose_pipeline):
     fused = float(np.median([pose_pipeline[s]["fused"] for s in SEEDS]))
     phat = float(np.median([pose_pipeline[s]["phat"] for s in SEEDS]))
@@ -288,6 +291,7 @@ def joint_pipeline():
     return {seed: _run_joint_pipeline(seed) for seed in SEEDS}
 
 
+@pytest.mark.slow
 def test_a6_joint_entropy_and_inview_improvement(joint_pipeline):
     for seed in SEEDS:
         res = joint_pipeline[seed]

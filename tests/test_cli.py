@@ -77,6 +77,25 @@ def test_all_train_modes_run(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, "metrics.csv"))
 
 
+def test_fusion_with_empty_source_split(tmp_path, capsys):
+    # an empty split skips its loss term instead of drawing from it
+    cfgp = tiny_config(tmp_path)
+    with open(cfgp) as f:
+        doc = json.load(f)
+    doc["n_source"] = 0
+    doc["hyper"]["alpha_p"] = 1e9  # every target sample is pseudo-labelled
+    with open(cfgp, "w") as f:
+        json.dump(doc, f)
+    model = str(tmp_path / "model")
+    PoseNet(config=ModelConfig.from_dict(doc["model"]),
+            rng=np.random.default_rng(0)).save(model)
+    out = str(tmp_path / "fus")
+    assert main(["train", "--config", cfgp, "--mode", "fusion",
+                 "--model", model, "--out", out]) == 0
+    capsys.readouterr()
+    assert os.path.exists(os.path.join(out, "fusion.bin"))
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

@@ -74,6 +74,9 @@ def test_entropy_matches_direct_sum():
     heat = random_pdf(rng)
     direct = [-np.sum(heat[j] * np.log(heat[j])) for j in range(3)]
     np.testing.assert_allclose(entropy(heat), direct, atol=1e-12)
+    # an (N, J, H, W) stack gives exactly the per-heatmap results
+    stack = np.stack([random_pdf(rng) for _ in range(4)])
+    np.testing.assert_array_equal(entropy(stack), np.stack([entropy(h) for h in stack]))
 
 
 def test_render_gaussian_heatmap_peaks_at_joint():
@@ -84,6 +87,11 @@ def test_render_gaussian_heatmap_peaks_at_joint():
         peak = np.unravel_index(np.argmax(heat[j]), (16, 16))
         assert abs((peak[1] + 0.5) / 16 - q[j, 0]) <= 1.0 / 16
         assert abs((peak[0] + 0.5) / 16 - q[j, 1]) <= 1.0 / 16
+    # an (N, J, 2) stack renders exactly the per-pose heatmaps
+    qs = np.random.default_rng(5).uniform(size=(4, 3, 2))
+    np.testing.assert_array_equal(
+        render_gaussian_heatmap(qs, 1.0, (16, 8)),
+        np.stack([render_gaussian_heatmap(q, 1.0, (16, 8)) for q in qs]))
 
 
 def test_render_soft_argmax_round_trip():
@@ -115,6 +123,14 @@ def test_flip_joint_ids_pose_mirror():
     np.testing.assert_allclose(f[lh, 0], 1.0 - q[rh, 0], atol=1e-12)
     np.testing.assert_allclose(f[lh, 1], q[rh, 1], atol=1e-12)
     np.testing.assert_allclose(flip_joint_ids(f, tree), q, atol=1e-12)
+    # (N, J, 2) and (N, J, 3) stacks flip exactly like their rows; 3D
+    # arrays are only permuted
+    rng = np.random.default_rng(5)
+    for stack in (rng.uniform(size=(4, tree.joint_count, 2)),
+                  rng.standard_normal((4, tree.joint_count, 3))):
+        np.testing.assert_array_equal(flip_joint_ids(stack, tree),
+                                      np.stack([flip_joint_ids(a, tree) for a in stack]))
+    np.testing.assert_array_equal(flip_joint_ids(stack, tree), stack[:, tree.lr_swap])
 
 
 def test_flip_commutes_with_rendering():

@@ -189,6 +189,11 @@ def test_mpjpe_ignores_global_translation():
     pred = rng.standard_normal((17, 3))
     gt = rng.standard_normal((17, 3))
     assert mpjpe(pred + 3.7, gt - 1.2) == pytest.approx(mpjpe(pred, gt), abs=1e-9)
+    assert isinstance(mpjpe(pred, gt), float)
+    # (N, J, 3) stacks give exactly the per-pose errors
+    preds, gts = rng.standard_normal((2, 5, 17, 3))
+    np.testing.assert_array_equal(mpjpe(preds, gts),
+                                  [mpjpe(p, g) for p, g in zip(preds, gts)])
 
 
 def test_pa_mpjpe_zero_under_similarity_transform():

@@ -117,6 +117,10 @@ def test_mirror_pose3d_matches_projected_flip():
     s = make_sample(SPEC, rng, TREE)
     m = mirror_pose3d(s.gt_p, TREE)
     assert mpjpe(mirror_pose3d(m, TREE), s.gt_p) < 1e-12  # involution
+    # an (N, J, 3) stack mirrors exactly like its rows
+    poses = np.stack([s.gt_p, m, rng.standard_normal(m.shape)])
+    np.testing.assert_array_equal(mirror_pose3d(poses, TREE),
+                                  np.stack([mirror_pose3d(p, TREE) for p in poses]))
     # mirroring preserves the skeleton (left/right lengths swap exactly)
     d_orig = np.linalg.norm(s.gt_p - s.gt_p[TREE.parent], axis=-1)
     d_mir = np.linalg.norm(m - m[TREE.parent], axis=-1)

@@ -19,8 +19,9 @@ TREE = default_tree()
 SPEC = DomainSpec(name="u", appearance_seed=3)
 
 
-def tiny_model(seed=0):
-    cfg = ModelConfig(encoder_widths=(64, 32), trunk_width=32, trunk_blocks=1)
+def tiny_model(seed=0, heatmap_size=16):
+    cfg = ModelConfig(encoder_widths=(64, 32), trunk_width=32, trunk_blocks=1,
+                      heatmap_size=heatmap_size)
     return PoseNet(config=cfg, rng=np.random.default_rng(seed))
 
 
@@ -63,6 +64,12 @@ def test_flip_consistency_zero_for_equivariant_predictions():
     off = qf.copy()
     off[:, 1] += 0.1
     assert flip_consistency(q, q, off, off, TREE) == pytest.approx(0.2, abs=1e-9)
+    assert isinstance(flip_consistency(q, q, off, off, TREE), float)
+    # (N, J, 2) stacks give exactly the per-sample scores
+    stacks = rng.uniform(size=(4, 5, TREE.joint_count, 2))
+    np.testing.assert_array_equal(
+        flip_consistency(*stacks, TREE),
+        [flip_consistency(*(a[i] for a in stacks), TREE) for i in range(5)])
 
 
 def test_predict_matches_forward():
@@ -94,8 +101,9 @@ def brute_force_pose_selection(model, samples, alpha_p):
     return chosen
 
 
-def test_pose_selection_matches_brute_force():
-    model = tiny_model(seed=5)
+@pytest.mark.parametrize("heatmap_size", [16, 8])
+def test_pose_selection_matches_brute_force(heatmap_size):
+    model = tiny_model(seed=5, heatmap_size=heatmap_size)
     ds = build_dataset(SPEC, 12, 0.0, np.random.default_rng(6), TREE)
     # pick a threshold that splits the population
     scores_all = select_pose_pseudo_labels(model, ds, np.inf).scores
@@ -108,9 +116,11 @@ def test_pose_selection_matches_brute_force():
         assert sel.scores[i] == pytest.approx(oracle[i][0], abs=1e-10)
         np.testing.assert_allclose(sel.q[i], oracle[i][1], atol=1e-10)
         np.testing.assert_allclose(sel.p[i], oracle[i][2], atol=1e-10)
-        # stored heatmaps are rendered from the pseudo 2D pose
+        # stored heatmaps are rendered from the pseudo 2D pose on the
+        # model's grid
         np.testing.assert_allclose(
-            sel.h[i], hm.render_gaussian_heatmap(sel.q[i], 1.0, (16, 16)),
+            sel.h[i], hm.render_gaussian_heatmap(sel.q[i], 1.0,
+                                                 (heatmap_size, heatmap_size)),
             atol=1e-12)
 
 
