@@ -185,35 +185,23 @@ def mul(a, b):
                              _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a, b):
-    return Tensor(a.data / b.data, (a, b),
-                  lambda g: (_unbroadcast(g / b.data, a.shape),
-                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
 def scale(a, c):
     c = float(c)
     return Tensor(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b):
-    out = a.data @ b.data
+    """Matrix product of operands with at least two axes each; leading
+    axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs operands of 2 or more axes, got "
+                         f"shapes {a.shape} and {b.shape}")
 
     def vjp(g):
-        if a.ndim == 1 and b.ndim == 1:
-            return g * b.data, g * a.data
-        ad = a.data if a.ndim > 1 else a.data[None, :]
-        bd = b.data if b.ndim > 1 else b.data[:, None]
-        gd = g
-        if a.ndim == 1:
-            gd = gd[..., None, :]
-        if b.ndim == 1:
-            gd = gd[..., :, None]
-        ga = gd @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ gd
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    return Tensor(out, (a, b), vjp)
+    return Tensor(a.data @ b.data, (a, b), vjp)
 
 
 def reshape(a, shape):
@@ -272,11 +260,6 @@ def tmean(a, axis=None, keepdims=False):
 def relu(a):
     mask = a.data > 0
     return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def tabs(a):
-    s = np.sign(a.data)
-    return Tensor(np.abs(a.data), (a,), lambda g: (g * s,))
 
 
 def exp(a):

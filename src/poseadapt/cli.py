@@ -27,7 +27,7 @@ from .synthdata import DataInvariantError, load_dataset, save_dataset
 from .trainer import (NonFiniteLossError, TrainState, histogram_groups,
                       metrics_row, train_fusion, train_joint_level,
                       train_pose_level, write_metrics_csv)
-from .uncertainty import select_joint_pseudo_labels, select_pose_pseudo_labels
+from .uncertainty import select_pose_pseudo_labels
 
 EXIT_BAD_CONFIG = 2
 EXIT_MISSING_FILES = 3
@@ -62,7 +62,7 @@ def _load_config(path, seed=None):
             _fail(EXIT_MISSING_FILES, f"config file not found: {path}")
         try:
             cfg = ExperimentConfig.load(path)
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
+        except (ValueError, TypeError) as e:  # JSON syntax errors are ValueErrors
             _fail(EXIT_BAD_CONFIG, f"invalid config: {e}")
     if seed is not None:
         cfg.seed = seed

@@ -4,7 +4,7 @@ shape and training hyperparameters, loadable from strict JSON."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,54 +47,40 @@ class ExperimentConfig:
     n_eval: int = 128
     occlusion_mix: float = 0.0   # fraction of occluded/truncated samples
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "model": self.model.to_dict(),
-            "hyper": self.hyper.to_dict(),
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "n_background": self.n_background,
-            "n_eval": self.n_eval,
-            "occlusion_mix": self.occlusion_mix,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        known = {"seed", "source", "target", "model", "hyper", "n_source",
-                 "n_target", "n_background", "n_eval", "occlusion_mix"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: doc[k] for k in
-                  ("seed", "n_source", "n_target", "n_background", "n_eval",
-                   "occlusion_mix") if k in doc}
-        if "source" in doc:
-            kwargs["source"] = DomainSpec.from_dict(doc["source"])
-        if "target" in doc:
-            kwargs["target"] = DomainSpec.from_dict(doc["target"])
-        if "model" in doc:
-            kwargs["model"] = ModelConfig.from_dict(doc["model"])
-        if "hyper" in doc:
-            kwargs["hyper"] = HyperParams.from_dict(doc["hyper"])
-        cfg = cls(**kwargs)
-        for name in ("n_source", "n_target", "n_background", "n_eval"):
-            if getattr(cfg, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0.0 <= cfg.occlusion_mix <= 1.0:
-            raise ValueError("occlusion_mix must be in [0, 1]")
-        return cfg
+    def __post_init__(self):
+        for name in ("n_source", "n_target", "n_background"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"ExperimentConfig.{name} must be nonnegative")
+        if self.n_eval < 1:
+            raise ValueError("ExperimentConfig.n_eval must be at least 1")
+        if not 0.0 <= self.occlusion_mix <= 1.0:
+            raise ValueError("ExperimentConfig.occlusion_mix must be in [0, 1]")
 
     def save(self, path):
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+            json.dump(asdict(self), f, indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path):
+        """Read a config written by ``save``. A missing key keeps its
+        default; an unknown key at any level raises TypeError."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return _build(cls, json.load(f), SECTIONS)
+
+
+# the nested sections of an experiment config: key -> class
+SECTIONS = {"source": DomainSpec, "target": DomainSpec, "model": ModelConfig,
+            "hyper": HyperParams}
+
+
+def _build(cls, doc, sections):
+    """``cls(**doc)``, with each value under a ``sections`` key built into
+    its own class first."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, "
+                        f"not {type(doc).__name__}")
+    return cls(**{k: _build(sections[k], v, {}) if k in sections else v
+                  for k, v in doc.items()})
 
 
 def generate_splits(cfg, tree=None):

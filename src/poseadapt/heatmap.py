@@ -1,5 +1,5 @@
 """Per-joint spatial probability maps: softmax, soft-argmax, confidence,
-entropy, ground-truth rendering, flips, and debug serialization.
+entropy, ground-truth rendering and flips.
 
 A heatmap is a (J, H, W) array where each joint slice is a PDF over the
 grid. Grid cell (row, col) covers the normalized image point
@@ -8,8 +8,6 @@ grid. Grid cell (row, col) covers the normalized image point
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -45,17 +43,13 @@ def joint_confidence(heat):
     return heat.reshape(heat.shape[0], -1).max(axis=-1)
 
 
-def entropy(heat, j=None):
+def entropy(heat):
     """Self-entropy (natural log) of joint slices; 0*log(0) := 0.
-
-    A (..., J, H, W) stack gives (..., J) entropies; with ``j`` given a
-    single (J, H, W) heatmap gives the scalar entropy of joint ``j``.
-    """
+    A (..., J, H, W) stack gives (..., J) entropies."""
     heat = np.asarray(heat, dtype=np.float64)
     flat = heat.reshape(heat.shape[:-2] + (-1,))
     terms = np.where(flat > 0, flat * np.log(np.maximum(flat, 1e-300)), 0.0)
-    ent = -terms.sum(axis=-1)
-    return ent if j is None else float(ent[j])
+    return -terms.sum(axis=-1)
 
 
 def render_gaussian_heatmap(q, sigma, grid_hw):
@@ -90,22 +84,3 @@ def flip_joint_ids(arr, tree):
     if out.shape[-1] == 2:
         out[..., 0] = 1.0 - out[..., 0]
     return out
-
-
-def save_heatmap(heat, path_prefix, joint_names=None):
-    """Debug dump: flat little-endian float32 blob plus JSON sidecar."""
-    heat = np.asarray(heat, dtype="<f4")
-    with open(path_prefix + ".bin", "wb") as f:
-        f.write(heat.tobytes())
-    sidecar = {"shape": list(heat.shape), "dtype": "<f4"}
-    if joint_names is not None:
-        sidecar["joint_names"] = list(joint_names)
-    with open(path_prefix + ".json", "w") as f:
-        json.dump(sidecar, f, indent=1)
-
-
-def load_heatmap(path_prefix):
-    with open(path_prefix + ".json") as f:
-        sidecar = json.load(f)
-    blob = np.fromfile(path_prefix + ".bin", dtype="<f4")
-    return blob.reshape(sidecar["shape"]).astype(np.float64)

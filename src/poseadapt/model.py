@@ -33,25 +33,8 @@ class ModelConfig:
     fusion_width: int = 64
     fusion_blocks: int = 3
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc):
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown ModelConfig keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if "encoder_widths" in doc:
-            doc["encoder_widths"] = tuple(doc["encoder_widths"])
-        return cls(**doc)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+    def __post_init__(self):
+        object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
 
 
 @dataclass
@@ -178,7 +161,7 @@ class PoseNet:
     def save(self, path_prefix):
         save_params(sorted(self.params.values(), key=lambda p: p.name), path_prefix)
         with open(path_prefix + ".config.json", "w") as f:
-            f.write(self.config.to_json())
+            json.dump(asdict(self.config), f, indent=1)
         with open(path_prefix + ".skeleton.json", "w") as f:
             f.write(self.tree.to_json())
 
@@ -186,7 +169,7 @@ class PoseNet:
     def load(cls, path_prefix):
         try:
             with open(path_prefix + ".config.json") as f:
-                config = ModelConfig.from_json(f.read())
+                config = ModelConfig(**json.load(f))
             with open(path_prefix + ".skeleton.json") as f:
                 tree = KinematicTree.from_json(f.read())
         except (KeyError, TypeError, ValueError) as e:

@@ -219,11 +219,6 @@ def camera_transform(pose_c, cam):
     return pose_cam, q
 
 
-def apply_lr_swap(arr, tree):
-    """Permute the joint axis (axis 0) by the left/right swap."""
-    return np.asarray(arr)[tree.lr_swap]
-
-
 def mpjpe(pred, gt):
     """Mean per-joint Euclidean distance after root-aligning both poses.
     (..., J, 3) stacks give (...) errors; a single pose gives a float."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,6 @@ class DomainSpec:
                 raise ValueError("invalid range in DomainSpec")
         if self.scale_range[0] <= 0:
             raise ValueError("scale range must be positive")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown DomainSpec keys: {sorted(unknown)}")
-        return cls(**doc)
 
 
 @dataclass
@@ -192,14 +181,12 @@ def make_background(spec, rng, tree, image_size=32, heatmap_size=16, sigma=1.0):
 TRUNCATION_KEEP = 0.6  # fraction of the frame kept by a truncation zoom
 
 
-def simulate_occlusion(sample, rng, mode, heatmap_size=16, sigma=1.0,
-                       spec=None, tree=None):
+def simulate_occlusion(sample, rng, mode, spec, tree, heatmap_size=16, sigma=1.0):
     """Object mode erases a rectangle back to the domain background (the
     figure passes behind scenery), so occluded regions look exactly like
     person-free background; truncation mode zooms isotropically into the
     top or bottom of the frame. Ground-truth 2D coordinates for out-view
-    joints are retained for evaluation. Without ``spec``/``tree`` the
-    object occluder falls back to a flat noisy patch."""
+    joints are retained for evaluation."""
     r = sample.obs.shape[0]
     if mode == "object":
         wf = rng.uniform(0.2, 0.6)
@@ -210,15 +197,10 @@ def simulate_occlusion(sample, rng, mode, heatmap_size=16, sigma=1.0,
         c0, c1 = int(round(u0 * r)), int(round((u0 + wf) * r))
         r0, r1 = int(round(v0 * r)), int(round((v0 + hf) * r))
         if c1 > c0 and r1 > r0:
-            if spec is not None and tree is not None:
-                _, bg = domain_appearance(spec, tree, r)
-                patch = bg[r0:r1, c0:c1]
-                if spec.noise_level > 0:
-                    patch = patch + rng.normal(0.0, spec.noise_level,
-                                               size=patch.shape)
-            else:
-                patch = (rng.uniform(0.2, 0.9)
-                         + 0.15 * rng.standard_normal((r1 - r0, c1 - c0)))
+            _, bg = domain_appearance(spec, tree, r)
+            patch = bg[r0:r1, c0:c1]
+            if spec.noise_level > 0:
+                patch = patch + rng.normal(0.0, spec.noise_level, size=patch.shape)
             obs[r0:r1, c0:c1] = np.clip(patch, 0.0, 1.0)
         covered = ((sample.gt_q[:, 0] >= u0) & (sample.gt_q[:, 0] <= u0 + wf)
                    & (sample.gt_q[:, 1] >= v0) & (sample.gt_q[:, 1] <= v0 + hf))
@@ -298,8 +280,8 @@ def build_dataset(spec, n, occlusion_mix, rng, tree, image_size=32,
         sample = make_sample(spec, sub, tree, image_size, heatmap_size, sigma)
         if occlusion_mix > 0 and sub.uniform() < occlusion_mix:
             mode = "object" if sub.uniform() < 0.5 else "truncation"
-            sample = simulate_occlusion(sample, sub, mode, heatmap_size, sigma,
-                                        spec=spec, tree=tree)
+            sample = simulate_occlusion(sample, sub, mode, spec, tree,
+                                        heatmap_size, sigma)
         out.append(sample)
     return out
 

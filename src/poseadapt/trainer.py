@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,22 +60,12 @@ class HyperParams:
         for name in ("lam1", "lam2", "lam", "alpha_p", "alpha_q", "alpha_h",
                      "m_u", "m_h", "m_l", "lr"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ValueError(f"HyperParams.{name} must be nonnegative")
         if self.k_interval < 1 or self.max_iter < 0:
-            raise ValueError("k_interval >= 1 and max_iter >= 0 required")
+            raise ValueError("HyperParams: k_interval >= 1 and max_iter >= 0 required")
 
     def lr_for(self, loss_name):
         return self.lr_overrides.get(loss_name, self.lr)
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc):
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown HyperParams keys: {sorted(unknown)}")
-        return cls(**doc)
 
 
 @dataclass
@@ -145,17 +135,14 @@ def loss_psup_target(out, h_pl, p_pl, hp, weights=None):
     return _weighted_joints(per_joint, weights)
 
 
-def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp,
-                             margin=None):
-    """In-view supervision plus lam2 times an entropy-shaping bonus.
-
-    With ``margin`` the bonus is two-sided: hinge relu(margin - entropy)
-    per out-view joint (flatten what cannot be seen) plus hinge
-    relu(entropy - hp.m_l) per in-view joint (sharpen what can).  The MSE
-    heatmap loss alone barely moves the entropy of a softmax heatmap, so
-    without the in-view hinge every heatmap idles near the uniform ceiling
-    and entropy carries almost no visibility signal.  Without ``margin``
-    the raw out-view entropy is subtracted (unbounded, no in-view term).
+def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp):
+    """In-view supervision plus lam2 times a two-sided entropy-shaping
+    penalty: hinge relu(hp.m_h - entropy) per out-view joint (flatten what
+    cannot be seen) plus hinge relu(entropy - hp.m_l) per in-view joint
+    (sharpen what can).  The MSE heatmap loss alone barely moves the
+    entropy of a softmax heatmap, so without the in-view hinge every
+    heatmap idles near the uniform ceiling and entropy carries almost no
+    visibility signal.
 
     Combining supervision and entropy shaping in one term matters under
     per-loss Adam: as separate losses the entropy gradient is a small but
@@ -169,26 +156,21 @@ def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp,
     sup = ad.tsum(ad.mul(per_joint, in_w), axis=-1)
     out_w = Tensor(np.asarray(out_mask, dtype=np.float64))
     ent = joint_uncertainty(out)
-    if margin is None:
-        bonus = ad.tsum(ad.mul(ent, out_w), axis=-1)
-        return ad.tmean(ad.sub(sup, ad.scale(bonus, hp.lam2)))
-    flat = ad.mul(ad.relu(ad.sub(Tensor(margin), ent)), out_w)
+    flat = ad.mul(ad.relu(ad.sub(Tensor(hp.m_h), ent)), out_w)
     sharp = ad.mul(ad.relu(ad.sub(ent, Tensor(hp.m_l))), in_w)
     pen = ad.tsum(ad.add(flat, sharp), axis=-1)
     return ad.tmean(ad.add(sup, ad.scale(pen, hp.lam2)))
 
 
-def loss_entropy_max(out, mask=None, margin=None):
+def loss_entropy_max(out, mask=None, *, margin):
     """Minimized surrogate for entropy maximization: sum of
-    hinge(margin - entropy) over the masked joints.
+    hinge(margin - entropy) over the masked joints (all joints without
+    ``mask``).
 
-    The hinge (default margin: the ceiling ln(H'W')) releases joints once
-    they are flat enough. Without it the term supplies a small but
-    perfectly persistent flattening gradient that per-loss Adam normalizes
-    up to a full-size step, and every heatmap collapses to uniform no
-    matter how small the term's weight."""
-    b, j, h, w = out.heatmap.shape
-    margin = math.log(h * w) if margin is None else margin
+    The hinge releases joints once they are flat enough. Without it the
+    term supplies a small but perfectly persistent flattening gradient
+    that per-loss Adam normalizes up to a full-size step, and every
+    heatmap collapses to uniform no matter how small the term's weight."""
     gap = ad.relu(ad.sub(Tensor(margin), joint_uncertainty(out)))
     return ad.tmean(ad.tsum(gap, axis=-1)) if mask is None else _weighted_joints(gap, mask)
 
@@ -368,7 +350,7 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
         in_mask = _stack(batch, "visibility")
         out_mask = ~in_mask if "ent_outv_s" in enable else np.zeros_like(in_mask)
         return loss_sup_occlusion_aware(out, _stack(batch, "gt_h"), _stack(batch, "gt_p"),
-                                        in_mask, out_mask, hp, margin=hp.m_h)
+                                        in_mask, out_mask, hp)
 
     def terms(state):
         # Supervision and out-view entropy shaping share one term (and one
@@ -402,14 +384,13 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
                 eval_hook=eval_hook)
 
 
-def train_fusion(model, source, target, pseudo, hp, rng, fusion=None,
-                 max_iter=None, joint_level=False):
+def train_fusion(model, source, target, pseudo, hp, rng, max_iter=None,
+                 joint_level=False):
     """Train the fusion regressor with the main model frozen: supervised
     3D loss on source batches and confidence-weighted pseudo-supervision
     on pseudo-labeled target batches. ``joint_level`` restricts both
     losses to in-view joints."""
-    if fusion is None:
-        fusion = FusionNet(tree=model.tree, config=model.config, rng=rng)
+    fusion = FusionNet(tree=model.tree, config=model.config, rng=rng)
 
     def fused(out):
         # detached inputs keep the main model frozen
@@ -452,15 +433,13 @@ def auroc(pos, neg):
         raise ValueError("auroc needs both populations")
     scores = np.concatenate([pos, neg])
     order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    # tie groups of the sorted scores; NaN never equals NaN, so each NaN
+    # is a group of its own, ranked in input order
+    group = np.cumsum(np.concatenate(([True], ordered[1:] != ordered[:-1]))) - 1
+    counts = np.bincount(group)
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     rank_sum = ranks[:len(pos)].sum()
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2.0)
                  / (len(pos) * len(neg)))

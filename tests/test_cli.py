@@ -13,6 +13,8 @@ from poseadapt.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATA, EXIT_MISSING_FILES,
                            EXIT_NON_FINITE, main)
 from poseadapt.config import ExperimentConfig
 from poseadapt.model import ModelConfig, PoseNet
+from poseadapt.synthdata import DomainSpec
+from poseadapt.trainer import HyperParams
 
 
 def tiny_config(tmp_path, seed=0):
@@ -87,7 +89,7 @@ def test_fusion_with_empty_source_split(tmp_path, capsys):
     with open(cfgp, "w") as f:
         json.dump(doc, f)
     model = str(tmp_path / "model")
-    PoseNet(config=ModelConfig.from_dict(doc["model"]),
+    PoseNet(config=ModelConfig(**doc["model"]),
             rng=np.random.default_rng(0)).save(model)
     out = str(tmp_path / "fus")
     assert main(["train", "--config", cfgp, "--mode", "fusion",
@@ -105,19 +107,76 @@ def test_missing_config_exits_3(tmp_path, capsys):
     assert "not found" in err["error"]
 
 
+# (document, class and key the error message must name)
+BAD_CONFIGS = [
+    ({"seed": 0, "bogus_key": 1}, "ExperimentConfig", "bogus_key"),
+    ({"source": {"name": "s", "appearance_seed": 1, "bogus_key": 1}},
+     "DomainSpec", "bogus_key"),
+    ({"model": {"image_size": 32, "bogus_key": 1}}, "ModelConfig", "bogus_key"),
+    ({"hyper": {"lam": 0.5, "bogus_key": 1}}, "HyperParams", "bogus_key"),
+    ([{"seed": 0}], "ExperimentConfig", "list"),
+    ({"hyper": None}, "HyperParams", "NoneType"),
+    ({"occlusion_mix": 1.5}, "ExperimentConfig", "occlusion_mix"),
+]
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"seed": 0, "bogus_key": 1}))
-    rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == EXIT_BAD_CONFIG
-    err = json.loads(capsys.readouterr().err)
-    assert err["code"] == EXIT_BAD_CONFIG
+    # an unknown key at any level, a section that is not a JSON object or
+    # a value out of range exits 2 with a message naming class and key
+    for i, (doc, cls, key) in enumerate(BAD_CONFIGS):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == err["code"] == EXIT_BAD_CONFIG, doc
+        assert cls in err["error"] and key in err["error"], err["error"]
 
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{]")
     assert main(["train", "--config", str(notjson),
                  "--out", str(tmp_path / "o2")]) == EXIT_BAD_CONFIG
     capsys.readouterr()
+
+
+def test_zero_eval_split_exits_2(tmp_path, capsys):
+    # every mode evaluates on the eval splits, so they must not be empty
+    cfgp = tiny_config(tmp_path)
+    with open(cfgp) as f:
+        doc = json.load(f)
+    doc["n_eval"] = 0
+    with open(cfgp, "w") as f:
+        json.dump(doc, f)
+    rc = main(["train", "--config", cfgp, "--mode", "baseline",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_BAD_CONFIG
+    assert "n_eval" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_config_validates_when_built_in_code():
+    with pytest.raises(ValueError, match="n_eval"):
+        ExperimentConfig(n_eval=-1)
+    with pytest.raises(ValueError, match="n_source"):
+        ExperimentConfig(n_source=-1)
+
+
+def test_config_load_save_round_trip_is_byte_identical(tmp_path):
+    # non-default values at the top level and in every nested section
+    cfg = ExperimentConfig(
+        seed=7, n_source=3, n_target=4, n_background=5, n_eval=6,
+        occlusion_mix=0.25,
+        source=DomainSpec(name="src", appearance_seed=3, euler_range=((-1, 1),) * 3,
+                          blob_sigma_px=1.2),
+        model=ModelConfig(encoder_widths=(8, 4), heatmap_size=8),
+        hyper=HyperParams(lam=0.5, lr_overrides={"tgt": 5e-4}, max_iter=9,
+                          entropy_head_only=False))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    cfg.save(first)
+    loaded = ExperimentConfig.load(first)
+    assert loaded == cfg
+    loaded.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert set(json.loads(first.read_text())) == {
+        f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_corrupt_dataset_exits_4(tmp_path, capsys):

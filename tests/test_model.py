@@ -8,7 +8,6 @@ from poseadapt.heatmap import soft_argmax
 from poseadapt.autodiff import Parameter
 from poseadapt.model import SCALE_FLOOR, FusionNet, ModelConfig, PoseNet
 from poseadapt.optim import load_params, save_params
-from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import DataInvariantError
 
 
@@ -245,5 +244,7 @@ def test_load_params_rejects_blob_length_mismatch(tmp_path):
 
 
 def test_model_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        ModelConfig.from_dict({"image_size": 32, "bogus": 1})
+    with pytest.raises(TypeError, match="bogus"):
+        ModelConfig(**{"image_size": 32, "bogus": 1})
+    # JSON gives lists; the config keeps a hashable tuple
+    assert ModelConfig(encoder_widths=[64, 32]) == ModelConfig(encoder_widths=(64, 32))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poseadapt.skeleton import (CameraParams, DegenerateFaceError,
-                                KinematicTree, apply_lr_swap, camera_transform,
+                                KinematicTree, camera_transform,
                                 canonicalize, default_tree, euler_to_rotation,
                                 face_direction, forward_kinematics, mpjpe,
                                 normalize_limb_vectors, pa_mpjpe,
@@ -133,11 +133,10 @@ def test_camera_transform_matches_manual_projection():
 
 def test_lr_swap_is_involution_and_swaps_sides():
     tree = default_tree()
-    arr = np.arange(tree.joint_count)
-    swapped = apply_lr_swap(arr, tree)
-    assert swapped[tree.index("left_hip")] == tree.index("right_hip")
-    assert swapped[tree.index("left_wrist")] == tree.index("right_wrist")
-    np.testing.assert_array_equal(apply_lr_swap(swapped, tree), arr)
+    swap = tree.lr_swap
+    assert swap[tree.index("left_hip")] == tree.index("right_hip")
+    assert swap[tree.index("left_wrist")] == tree.index("right_wrist")
+    np.testing.assert_array_equal(swap[swap], np.arange(tree.joint_count))
 
 
 def test_tree_json_round_trip():

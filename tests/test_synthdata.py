@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poseadapt.heatmap import flip_joint_ids, soft_argmax
-from poseadapt.skeleton import camera_transform, default_tree, mpjpe
+from poseadapt.skeleton import default_tree, mpjpe
 from poseadapt.synthdata import (TRUNCATION_KEEP, DataInvariantError,
                                  DomainSpec, build_dataset, domain_appearance,
                                  flip_observation, load_dataset, make_background,
@@ -69,7 +69,7 @@ def test_background_sample_has_no_person():
 def test_object_occlusion_hides_covered_joints_only():
     rng = np.random.default_rng(2)
     s = make_sample(SPEC, rng, TREE)
-    occ = simulate_occlusion(s, np.random.default_rng(3), "object")
+    occ = simulate_occlusion(s, np.random.default_rng(3), "object", SPEC, TREE)
     assert occ.occlusion == "object"
     np.testing.assert_array_equal(occ.gt_q, s.gt_q)     # gt untouched
     np.testing.assert_array_equal(occ.gt_p, s.gt_p)
@@ -79,7 +79,7 @@ def test_object_occlusion_hides_covered_joints_only():
 def test_truncation_updates_ground_truth_exactly():
     rng = np.random.default_rng(4)
     s = make_sample(SPEC, rng, TREE)
-    t = simulate_occlusion(s, np.random.default_rng(5), "truncation")
+    t = simulate_occlusion(s, np.random.default_rng(5), "truncation", SPEC, TREE)
     assert t.occlusion == "truncation"
     # affine update of the 2D pose matches the zoom window
     u0 = (1.0 - TRUNCATION_KEEP) / 2.0
@@ -196,8 +196,8 @@ def test_load_rejects_corrupt_blob(tmp_path):
 
 
 def test_domain_spec_rejects_unknown_keys_and_bad_ranges():
-    with pytest.raises(ValueError):
-        DomainSpec.from_dict({"name": "x", "appearance_seed": 0, "bogus": 1})
+    with pytest.raises(TypeError, match="bogus"):
+        DomainSpec(**{"name": "x", "appearance_seed": 0, "bogus": 1})
     with pytest.raises(ValueError):
         DomainSpec(name="x", appearance_seed=0, scale_range=(0.3, 0.2))
     with pytest.raises(ValueError):

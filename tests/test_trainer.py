@@ -8,10 +8,10 @@ import pytest
 from poseadapt import autodiff as ad
 from poseadapt.autodiff import Parameter, Tensor
 from poseadapt.config import ExperimentConfig, generate_splits
+from poseadapt.heatmap import entropy
 from poseadapt.model import ModelConfig, PoseNet
 from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
-from poseadapt.synthdata import DomainSpec, build_dataset
 from poseadapt.trainer import (HyperParams, JOINT_LEVEL_TERMS, METRIC_COLUMNS,
                                NonFiniteLossError, auroc, histogram_groups,
                                loss_bg_uncertainty, loss_entropy_max,
@@ -196,14 +196,19 @@ def test_occlusion_aware_loss_signs():
     h_gt = np.stack([s.gt_h for s in batch])
     p_gt = np.stack([s.gt_p for s in batch])
     in_mask = np.stack([s.visibility for s in batch])
-    hp = HyperParams()
+    # a margin above the entropy ceiling makes every out-view joint count
+    hp = HyperParams(m_h=10.0)
     full = float(loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask,
                                           ~in_mask, hp).data)
     no_ent = float(loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask,
                                             np.zeros_like(in_mask), hp).data)
-    # the out-view entropy term is subtracted (maximized)
-    if (~in_mask).any():
-        assert full < no_ent
+    # the out-view term is the hinge relu(m_h - entropy), a penalty that
+    # minimizing the loss turns into entropy maximization
+    assert (~in_mask).any()
+    flat = np.maximum(hp.m_h - entropy(out.heatmap.data), 0.0) * ~in_mask
+    assert full > no_ent
+    assert full == pytest.approx(no_ent + hp.lam2 * flat.sum(axis=-1).mean(),
+                                 abs=1e-10)
 
 
 def test_entropy_shaping_losses():
@@ -214,7 +219,7 @@ def test_entropy_shaping_losses():
     hw = model.config.heatmap_size ** 2
     ent = -np.sum(out.heatmap.data.reshape(2, 17, -1)
                   * np.log(out.heatmap.data.reshape(2, 17, -1) + 1e-12), axis=-1)
-    gap = float(loss_entropy_max(out, mask).data)
+    gap = float(loss_entropy_max(out, mask, margin=np.log(hw)).data)
     assert gap == pytest.approx(np.mean(np.sum(np.log(hw) - ent, axis=-1)), abs=1e-6)
     assert gap >= -1e-9  # bounded surrogate
     mn = float(loss_entropy_min(out, mask).data)
@@ -262,6 +267,12 @@ def test_auroc_matches_pair_counting():
     for _ in range(5):
         pos = rng.normal(1.0, 1.0, size=30)
         neg = rng.normal(0.0, 1.0, size=40)
+        assert auroc(pos, neg) == pytest.approx(pair_count_auroc(pos, neg),
+                                                abs=1e-12)
+    # heavily tied: few distinct values, long tie groups across both sides
+    for levels in (1, 2, 3, 5):
+        pos = rng.integers(0, levels, size=rng.integers(1, 40)).astype(float)
+        neg = rng.integers(0, levels, size=rng.integers(1, 40)).astype(float)
         assert auroc(pos, neg) == pytest.approx(pair_count_auroc(pos, neg),
                                                 abs=1e-12)
 
@@ -514,10 +525,10 @@ def test_hyperparams_validation():
         HyperParams(lam1=-1.0)
     with pytest.raises(ValueError):
         HyperParams(k_interval=0)
-    with pytest.raises(ValueError):
-        HyperParams.from_dict({"lam1": 1.0, "bogus": 2})
+    with pytest.raises(TypeError, match="bogus"):
+        HyperParams(**{"lam1": 1.0, "bogus": 2})
     hp = HyperParams(lr=1e-3, lr_overrides={"bg": 1e-4})
     assert hp.lr_for("bg") == 1e-4
     assert hp.lr_for("sup") == 1e-3
-    clone = HyperParams.from_dict(hp.to_dict())
+    clone = HyperParams(**dataclasses.asdict(hp))
     assert clone == hp
