@@ -11,7 +11,7 @@ from .optim import Adam
 from .skeleton import (CameraParams, KinematicTree, canonicalize,
                        default_tree, forward_kinematics, mpjpe, pa_mpjpe)
 from .synthdata import (DomainSpec, Sample, build_dataset, load_dataset,
-                        save_dataset, simulate_occlusion)
+                        save_dataset)
 from .trainer import (HyperParams, auroc, evaluate, train_fusion,
                       train_joint_level, train_pose_level)
 from .uncertainty import (joint_uncertainty, pose_uncertainty,

@@ -64,6 +64,8 @@ def _load_config(path, seed=None):
             cfg = ExperimentConfig.load(path)
         except (ValueError, TypeError) as e:  # JSON syntax errors are ValueErrors
             _fail(EXIT_BAD_CONFIG, f"invalid config: {e}")
+        except OSError as e:  # a directory, or a file that cannot be read
+            _fail(EXIT_MISSING_FILES, f"cannot read config file {path}: {e.strerror or e}")
     if seed is not None:
         cfg.seed = seed
     return cfg

@@ -59,12 +59,15 @@ def render_gaussian_heatmap(q, sigma, grid_hw):
     (possibly tiny mass) and renormalize."""
     q = np.asarray(q, dtype=np.float64)
     h, w = grid_hw
-    centers = cell_centers(h, w)  # (H*W, 2)
-    # distances in cell units so sigma means the same on any grid
-    du2 = ((centers[:, 0] - q[..., None, 0]) * w) ** 2
-    dv2 = ((centers[:, 1] - q[..., None, 1]) * h) ** 2
-    # in place from here: a stack of poses keeps three grids alive, not five
-    e = -(du2 + dv2) / (2.0 * sigma ** 2)
+    # distances in cell units so sigma means the same on any grid; a cell's
+    # squared distance is a column term plus a row term, so the sum is the
+    # only full-size grid, and everything after it runs in place on it
+    du2 = (((np.arange(w) + 0.5) / w - q[..., None, 0]) * w) ** 2  # (..., J, W)
+    dv2 = (((np.arange(h) + 0.5) / h - q[..., None, 1]) * h) ** 2  # (..., J, H)
+    e = du2[..., None, :] + dv2[..., :, None]
+    np.negative(e, out=e)
+    e /= 2.0 * sigma ** 2
+    e = e.reshape(q.shape[:-1] + (h * w,))
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)

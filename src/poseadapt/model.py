@@ -35,6 +35,15 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
+        sizes = [("image_size", self.image_size, 1), ("heatmap_size", self.heatmap_size, 1),
+                 ("trunk_width", self.trunk_width, 1), ("trunk_blocks", self.trunk_blocks, 0),
+                 ("fusion_width", self.fusion_width, 1),
+                 ("fusion_blocks", self.fusion_blocks, 0)]
+        sizes += [(f"encoder_widths[{i}]", w, 1) for i, w in enumerate(self.encoder_widths)]
+        for name, value, least in sizes:
+            if not (isinstance(value, int) and value >= least):
+                raise ValueError(f"ModelConfig.{name} must be an integer >= {least}, "
+                                 f"not {value!r}")
 
 
 @dataclass

@@ -152,70 +152,101 @@ class CameraParams:
             raise ValueError("camera scale must be positive")
 
 
+def row_dot(a, b):
+    """Dot products of the last axes of two (..., 3) stacks. A matmul of
+    (1, 3) by (3, 1) blocks gives each row the bits of the 1-D ``a @ b``,
+    which elementwise sums and ``einsum`` do not."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norm(a):
+    """Euclidean norms of the last axis with the bits of 1-D
+    ``np.linalg.norm``."""
+    return np.sqrt(row_dot(a, a))
+
+
 def normalize_limb_vectors(raw, root=0):
-    """Divide each row by max(norm, eps); zero the root row."""
+    """Divide each row by max(norm, eps); zero the root row. Takes
+    (..., J, 3) stacks."""
     raw = np.asarray(raw, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     out = raw / np.maximum(norms, EPS)
-    out[root] = 0.0
+    out[..., root, :] = 0.0
     return out
 
 
 def forward_kinematics(tree, limbs):
     """Place each joint at parent + bone_length * unit limb direction, in
-    topological order. Root lands at the origin."""
+    topological order. Root lands at the origin. Takes (..., J, 3) stacks."""
     limbs = np.asarray(limbs, dtype=np.float64)
-    coords = np.zeros((tree.joint_count, 3))
+    coords = np.zeros(limbs.shape[:-2] + (tree.joint_count, 3))
     for j in tree.topological_order()[1:]:
-        coords[j] = coords[int(tree.parent[j])] + tree.bone_length[j] * limbs[j]
+        coords[..., j, :] = (coords[..., int(tree.parent[j]), :]
+                             + tree.bone_length[j] * limbs[..., j, :])
     return coords
 
 
 def face_direction(pose, tree):
-    """Unit normal of (left_hip -> neck) x (left_hip -> right_hip)."""
+    """Unit normal of (left_hip -> neck) x (left_hip -> right_hip); a
+    (..., J, 3) stack gives (..., 3) normals."""
     pose = np.asarray(pose, dtype=np.float64)
-    lh, rh, nk = (pose[tree.index(n)] for n in ("left_hip", "right_hip", "neck"))
+    lh, rh, nk = (pose[..., tree.index(n), :] for n in ("left_hip", "right_hip", "neck"))
     cross = np.cross(nk - lh, rh - lh)
-    norm = np.linalg.norm(cross)
-    if norm < 1e-9:
+    norm = row_norm(cross)
+    if np.any(norm < 1e-9):
         raise DegenerateFaceError("hips and neck are collinear")
-    return cross / norm
+    return cross / norm[..., None]
 
 
 def canonicalize(pose, tree):
     """Move the pelvis to the origin and rotate so the skeleton faces +X,
-    with the hip axis in the X-Y plane and the right hip at negative Y."""
-    pose = np.asarray(pose, dtype=np.float64) - np.asarray(pose, dtype=np.float64)[0]
+    with the hip axis in the X-Y plane and the right hip at negative Y.
+    Takes (..., J, 3) stacks."""
+    pose = np.asarray(pose, dtype=np.float64)
+    pose = pose - pose[..., :1, :]
     e1 = face_direction(pose, tree)
-    hip = pose[tree.index("right_hip")] - pose[tree.index("left_hip")]
-    h_perp = hip - (hip @ e1) * e1
-    norm = np.linalg.norm(h_perp)
-    if norm < 1e-9:
+    hip = pose[..., tree.index("right_hip"), :] - pose[..., tree.index("left_hip"), :]
+    h_perp = hip - row_dot(hip, e1)[..., None] * e1
+    norm = row_norm(h_perp)
+    if np.any(norm < 1e-9):
         raise DegenerateFaceError("hip axis parallel to the facing direction")
-    e2 = -h_perp / norm  # right hip maps to negative Y
+    e2 = -h_perp / norm[..., None]  # right hip maps to negative Y
     e3 = np.cross(e1, e2)
-    rot = np.stack([e1, e2, e3])
-    return pose @ rot.T
+    rot = np.stack([e1, e2, e3], axis=-2)
+    return np.matmul(pose, np.swapaxes(rot, -1, -2))
 
 
 def euler_to_rotation(euler):
-    """Intrinsic Z-Y-X rotation matrix from three angles."""
-    a, b, c = np.asarray(euler, dtype=np.float64)
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cc, sc = np.cos(c), np.sin(c)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
+    """Intrinsic Z-Y-X rotation matrix from three angles; (..., 3) angles
+    give (..., 3, 3) matrices."""
+    euler = np.asarray(euler, dtype=np.float64)
+    ca, sa = np.cos(euler[..., 0]), np.sin(euler[..., 0])
+    cb, sb = np.cos(euler[..., 1]), np.sin(euler[..., 1])
+    cc, sc = np.cos(euler[..., 2]), np.sin(euler[..., 2])
+    zero, one = np.zeros_like(ca), np.ones_like(ca)
+
+    def matrix(*rows):
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+    rz = matrix((ca, -sa, zero), (sa, ca, zero), (zero, zero, one))
+    ry = matrix((cb, zero, sb), (zero, one, zero), (-sb, zero, cb))
+    rx = matrix((one, zero, zero), (zero, cc, -sc), (zero, sc, cc))
     return rz @ ry @ rx
 
 
 def camera_transform(pose_c, cam):
     """Rotate the canonical pose into camera space, then project by uniform
     scale plus 2D translation. Returns (camera-space 3D pose, 2D pose)."""
-    rot = euler_to_rotation(cam.euler)
-    pose_cam = np.asarray(pose_c, dtype=np.float64) @ rot.T
-    q = cam.scale * pose_cam[:, :2] + cam.translation
+    return project(pose_c, cam.euler, cam.scale, cam.translation)
+
+
+def project(pose_c, euler, scale, translation):
+    """``camera_transform`` on stacks: (..., J, 3) canonical poses with
+    (..., 3) angles, (...) scales and (..., 2) translations."""
+    rot = euler_to_rotation(euler)
+    pose_cam = np.matmul(np.asarray(pose_c, dtype=np.float64), np.swapaxes(rot, -1, -2))
+    q = (np.asarray(scale)[..., None, None] * pose_cam[..., :2]
+         + np.asarray(translation)[..., None, :])
     return pose_cam, q
 
 

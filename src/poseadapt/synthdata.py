@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .heatmap import flip_heatmap, flip_joint_ids, render_gaussian_heatmap
-from .skeleton import (CameraParams, camera_transform, canonicalize,
-                       forward_kinematics, normalize_limb_vectors)
+from .skeleton import (CameraParams, canonicalize, forward_kinematics,
+                       normalize_limb_vectors, project, row_dot, row_norm)
 
 
 class DataInvariantError(ValueError):
@@ -43,11 +44,18 @@ class DomainSpec:
         object.__setattr__(self, "scale_range", tuple(self.scale_range))
         object.__setattr__(self, "trans_range", tuple(tuple(r) for r in self.trans_range))
         object.__setattr__(self, "blob_amp_range", tuple(self.blob_amp_range))
-        for lo, hi in list(self.euler_range) + [self.scale_range] + list(self.trans_range):
-            if hi < lo:
-                raise ValueError("invalid range in DomainSpec")
+        ranges = {"euler_range": self.euler_range, "scale_range": [self.scale_range],
+                  "trans_range": self.trans_range, "blob_amp_range": [self.blob_amp_range]}
+        for name, pairs in ranges.items():
+            if any(hi < lo for lo, hi in pairs):
+                raise ValueError(f"DomainSpec.{name}: a range has high < low")
         if self.scale_range[0] <= 0:
-            raise ValueError("scale range must be positive")
+            raise ValueError("DomainSpec.scale_range must be positive")
+        for name in ("cone_angle", "noise_level", "bg_amplitude"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"DomainSpec.{name} must be nonnegative")
+        if not self.blob_sigma_px > 0:
+            raise ValueError("DomainSpec.blob_sigma_px must be positive")
 
 
 @dataclass
@@ -83,34 +91,21 @@ def rest_limbs(tree):
     return normalize_limb_vectors(dirs)
 
 
-def _rotate_about(v, axis, angle):
-    axis = axis / np.linalg.norm(axis)
-    return (v * np.cos(angle) + np.cross(axis, v) * np.sin(angle)
-            + axis * (axis @ v) * (1.0 - np.cos(angle)))
-
-
-def sample_pose(rng, spec, tree):
-    """Draw limb directions within per-limb cones around the rest pose,
-    run forward kinematics, canonicalize; draw a camera from the spec
-    ranges. Returns (canonical pose, camera)."""
-    rest = rest_limbs(tree)
-    limbs = np.zeros_like(rest)
-    for j in range(1, tree.joint_count):
-        d = rest[j]
-        theta = spec.cone_angle * np.sqrt(rng.uniform())
-        r = rng.normal(size=3)
-        perp = r - (r @ d) * d
-        nrm = np.linalg.norm(perp)
-        if nrm < 1e-9 or theta == 0.0:
-            limbs[j] = d
-        else:
-            limbs[j] = _rotate_about(d, perp / nrm, theta)
-    limbs = normalize_limb_vectors(limbs)
-    pose = canonicalize(forward_kinematics(tree, limbs), tree)
-    euler = np.array([rng.uniform(lo, hi) for lo, hi in spec.euler_range])
-    scale = rng.uniform(*spec.scale_range)
-    trans = np.array([rng.uniform(lo, hi) for lo, hi in spec.trans_range])
-    return pose, CameraParams(euler=euler, scale=scale, translation=trans)
+def _cone_limbs(rest, theta, normal):
+    """Tilt each rest direction by ``theta`` about the part of ``normal``
+    perpendicular to it (Rodrigues' rotation). (N, J) angles and (N, J, 3)
+    normals give (N, J, 3) directions; a row with no usable axis or a zero
+    angle keeps its rest direction."""
+    perp = normal - row_dot(normal, rest)[..., None] * rest
+    nrm = row_norm(perp)
+    straight = (nrm < 1e-9) | (theta == 0.0)
+    axis = perp / np.where(straight, 1.0, nrm)[..., None]
+    # normalized a second time, which moves the last bits of the datasets
+    axis = axis / np.where(straight, 1.0, row_norm(axis))[..., None]
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    tilted = (rest * cos + np.cross(axis, rest) * sin
+              + axis * row_dot(axis, rest)[..., None] * (1.0 - cos))
+    return np.where(straight[..., None], rest, tilted)
 
 
 _appearance_cache = {}
@@ -142,107 +137,62 @@ def domain_appearance(spec, tree, image_size):
     return amps, bg
 
 
-def render_observation(gt_q, visibility, spec, rng, tree, image_size):
+def render_observation(gt_q, visibility, spec, tree, image_size, noise=None):
     """Background texture plus one Gaussian intensity blob per visible
-    joint, plus pixel noise. Invisible joints render nothing."""
+    joint, plus ``noise`` if given, clipped to [0, 1]. Invisible joints
+    render nothing. (..., J, 2) poses with (..., J) visibility give
+    (..., R, R) images."""
     amps, bg = domain_appearance(spec, tree, image_size)
-    img = bg.copy()
+    q = np.asarray(gt_q, dtype=np.float64)
+    lead = q.shape[:-2]
+    q = q.reshape(-1, tree.joint_count, 2)
+    visibility = np.asarray(visibility).reshape(len(q), tree.joint_count)
+    img = np.repeat(bg[None], len(q), axis=0)
     px = (np.arange(image_size) + 0.5) / image_size
-    uu, vv = np.meshgrid(px, px, indexing="xy")
     sig = spec.blob_sigma_px / image_size
-    for j in np.flatnonzero(visibility):
-        du = uu - gt_q[j, 0]
-        dv = vv - gt_q[j, 1]
-        img += amps[j] * np.exp(-(du ** 2 + dv ** 2) / (2.0 * sig ** 2))
-    if spec.noise_level > 0:
-        img += rng.normal(0.0, spec.noise_level, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
-
-
-def make_sample(spec, rng, tree, image_size=32, heatmap_size=16, sigma=1.0):
-    pose_c, cam = sample_pose(rng, spec, tree)
-    gt_p, gt_q = camera_transform(pose_c, cam)
-    visibility = np.all((gt_q >= 0.0) & (gt_q <= 1.0), axis=-1)
-    obs = render_observation(gt_q, visibility, spec, rng, tree, image_size)
-    gt_h = render_gaussian_heatmap(gt_q, sigma, (heatmap_size, heatmap_size))
-    return Sample(obs=obs, gt_p=gt_p, gt_q=gt_q, gt_h=gt_h, visibility=visibility,
-                  domain=spec.name, cam=cam)
-
-
-def make_background(spec, rng, tree, image_size=32, heatmap_size=16, sigma=1.0):
-    """Person-free image: the domain background texture plus noise."""
-    sample = make_sample(spec, rng, tree, image_size, heatmap_size, sigma)
-    vis = np.zeros(tree.joint_count, dtype=bool)
-    obs = render_observation(sample.gt_q, vis, spec, rng, tree, image_size)
-    return Sample(obs=obs, gt_p=sample.gt_p, gt_q=sample.gt_q, gt_h=sample.gt_h,
-                  visibility=vis, domain=spec.name, is_background=True, cam=sample.cam)
+    for j in range(tree.joint_count):  # each image sums its blobs in joint order
+        idx = np.flatnonzero(visibility[:, j])
+        # squared distance = column term + row term: square the (N, R)
+        # offsets, then one full-size sum and the rest in place
+        du2 = (px - q[idx, j, 0, None]) ** 2
+        dv2 = (px - q[idx, j, 1, None]) ** 2
+        blob = du2[:, None, :] + dv2[:, :, None]
+        np.negative(blob, out=blob)
+        blob /= 2.0 * sig ** 2
+        np.exp(blob, out=blob)
+        blob *= amps[j]
+        if idx.size == len(img):
+            img += blob
+        else:
+            img[idx] += blob
+    if noise is not None:
+        img += np.reshape(noise, img.shape)
+    return np.clip(img, 0.0, 1.0).reshape(lead + img.shape[1:])
 
 
 TRUNCATION_KEEP = 0.6  # fraction of the frame kept by a truncation zoom
-
-
-def simulate_occlusion(sample, rng, mode, spec, tree, heatmap_size=16, sigma=1.0):
-    """Object mode erases a rectangle back to the domain background (the
-    figure passes behind scenery), so occluded regions look exactly like
-    person-free background; truncation mode zooms isotropically into the
-    top or bottom of the frame. Ground-truth 2D coordinates for out-view
-    joints are retained for evaluation."""
-    r = sample.obs.shape[0]
-    if mode == "object":
-        wf = rng.uniform(0.2, 0.6)
-        hf = rng.uniform(0.2, 0.6)
-        u0 = rng.uniform(0.0, 1.0 - wf)
-        v0 = rng.uniform(0.0, 1.0 - hf)
-        obs = sample.obs.copy()
-        c0, c1 = int(round(u0 * r)), int(round((u0 + wf) * r))
-        r0, r1 = int(round(v0 * r)), int(round((v0 + hf) * r))
-        if c1 > c0 and r1 > r0:
-            _, bg = domain_appearance(spec, tree, r)
-            patch = bg[r0:r1, c0:c1]
-            if spec.noise_level > 0:
-                patch = patch + rng.normal(0.0, spec.noise_level, size=patch.shape)
-            obs[r0:r1, c0:c1] = np.clip(patch, 0.0, 1.0)
-        covered = ((sample.gt_q[:, 0] >= u0) & (sample.gt_q[:, 0] <= u0 + wf)
-                   & (sample.gt_q[:, 1] >= v0) & (sample.gt_q[:, 1] <= v0 + hf))
-        vis = sample.visibility & ~covered
-        return Sample(obs=obs, gt_p=sample.gt_p.copy(), gt_q=sample.gt_q.copy(),
-                      gt_h=sample.gt_h.copy(), visibility=vis,
-                      domain=sample.domain, occlusion="object", cam=sample.cam)
-    if mode == "truncation":
-        keep = TRUNCATION_KEEP
-        v0 = 0.0 if rng.uniform() < 0.5 else 1.0 - keep
-        u0 = (1.0 - keep) / 2.0
-        obs = _bilinear_zoom(sample.obs, u0, v0, keep)
-        gt_q = (sample.gt_q - np.array([u0, v0])) / keep
-        vis = np.all((gt_q >= 0.0) & (gt_q <= 1.0), axis=-1)
-        gt_h = render_gaussian_heatmap(gt_q, sigma, (heatmap_size, heatmap_size))
-        cam = None
-        if sample.cam is not None:
-            cam = CameraParams(euler=sample.cam.euler.copy(),
-                               scale=sample.cam.scale / keep,
-                               translation=(sample.cam.translation - np.array([u0, v0])) / keep)
-        return Sample(obs=obs, gt_p=sample.gt_p.copy(), gt_q=gt_q, gt_h=gt_h,
-                      visibility=vis, domain=sample.domain, occlusion="truncation", cam=cam)
-    raise ValueError(f"unknown occlusion mode {mode!r}")
+OCCLUSION_MODES = ("none", "object", "truncation")
+_OBJECT, _TRUNCATION = 1, 2
 
 
 def _bilinear_zoom(img, u0, v0, frac):
-    """Resample the (u0, v0, frac) window of a square image back to full
-    resolution with bilinear interpolation."""
-    r = img.shape[0]
+    """Resample the (u0, v0, frac) window of each image of an (N, R, R)
+    stack back to full resolution with bilinear interpolation; ``v0`` is
+    one offset per image."""
+    r = img.shape[-1]
     out_px = (np.arange(r) + 0.5) / r
     src_u = (u0 + frac * out_px) * r - 0.5
-    src_v = (v0 + frac * out_px) * r - 0.5
+    src_v = (np.asarray(v0)[:, None] + frac * out_px) * r - 0.5
     iu = np.clip(np.floor(src_u).astype(int), 0, r - 2)
     iv = np.clip(np.floor(src_v).astype(int), 0, r - 2)
     fu = np.clip(src_u - iu, 0.0, 1.0)
     fv = np.clip(src_v - iv, 0.0, 1.0)
-    fv_c, fu_c = fv[:, None], fu[None, :]
-    iv_c, iu_c = iv[:, None], iu[None, :]
-    return ((1 - fv_c) * (1 - fu_c) * img[iv_c, iu_c]
-            + (1 - fv_c) * fu_c * img[iv_c, iu_c + 1]
-            + fv_c * (1 - fu_c) * img[iv_c + 1, iu_c]
-            + fv_c * fu_c * img[iv_c + 1, iu_c + 1])
+    fv_c, fu_c = fv[:, :, None], fu[None, :]
+    n, iv_c, iu_c = np.arange(len(img))[:, None, None], iv[:, :, None], iu[None, :]
+    return ((1 - fv_c) * (1 - fu_c) * img[n, iv_c, iu_c]
+            + (1 - fv_c) * fu_c * img[n, iv_c, iu_c + 1]
+            + fv_c * (1 - fu_c) * img[n, iv_c + 1, iu_c]
+            + fv_c * fu_c * img[n, iv_c + 1, iu_c + 1])
 
 
 def mirror_pose3d(pose, tree):
@@ -266,24 +216,121 @@ def flip_observation(sample, tree):
                   is_background=sample.is_background, cam=None)
 
 
+def _draw(spec, seeds, occlusion_mix, backgrounds, joint_count, image_size):
+    """The one loop over samples: every random number of each sample, from
+    its own ``default_rng(seed)`` stream in a fixed order. No draw depends
+    on the geometry, so everything else runs on whole stacks."""
+    n, r = len(seeds), image_size
+    d = SimpleNamespace(
+        u=np.zeros((n, joint_count)), normal=np.zeros((n, joint_count, 3)),
+        euler=np.zeros((n, 3)), scale=np.zeros(n), trans=np.zeros((n, 2)),
+        noise=np.zeros((n, r, r)),             # zero where the spec has no noise
+        mode=np.zeros(n, dtype=int),
+        box=np.zeros((n, 4)),                  # object: u0, v0, width, height
+        rect=np.zeros((n, 4), dtype=int),      # object: rows r0:r1, cols c0:c1
+        patch_noise=np.zeros((n, r, r)),       # object: noise of the erased rectangle
+        top=np.zeros(n, dtype=bool))           # truncation: keep the top of the frame
+    noisy = spec.noise_level > 0
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed))
+        for j in range(1, joint_count):  # limb cone angle and tilt axis
+            d.u[i, j] = rng.uniform()
+            d.normal[i, j] = rng.normal(size=3)
+        d.euler[i] = [rng.uniform(lo, hi) for lo, hi in spec.euler_range]
+        d.scale[i] = rng.uniform(*spec.scale_range)
+        d.trans[i] = [rng.uniform(lo, hi) for lo, hi in spec.trans_range]
+        if noisy:
+            d.noise[i] = rng.normal(0.0, spec.noise_level, size=(r, r))
+        if backgrounds:
+            # the person-free image that replaces this one has its own noise
+            if noisy:
+                d.noise[i] = rng.normal(0.0, spec.noise_level, size=(r, r))
+            continue
+        if not (occlusion_mix > 0 and rng.uniform() < occlusion_mix):
+            continue
+        if rng.uniform() < 0.5:
+            d.mode[i] = _OBJECT
+            wf, hf = rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6)
+            u0, v0 = rng.uniform(0.0, 1.0 - wf), rng.uniform(0.0, 1.0 - hf)
+            d.box[i] = u0, v0, wf, hf
+            c0, c1 = int(round(u0 * r)), int(round((u0 + wf) * r))
+            r0, r1 = int(round(v0 * r)), int(round((v0 + hf) * r))
+            d.rect[i] = r0, r1, c0, c1
+            patch = d.patch_noise[i, r0:r1, c0:c1]
+            if noisy and c1 > c0 and r1 > r0:
+                patch[...] = rng.normal(0.0, spec.noise_level, size=patch.shape)
+        else:
+            d.mode[i] = _TRUNCATION
+            d.top[i] = rng.uniform() < 0.5
+    return d
+
+
+def _in_frame(q):
+    return np.all((q >= 0.0) & (q <= 1.0), axis=-1)
+
+
 def build_dataset(spec, n, occlusion_mix, rng, tree, image_size=32,
                   heatmap_size=16, sigma=1.0, backgrounds=False):
     """Generate ``n`` samples; each gets an independent seed derived from
-    ``rng`` so generation order never affects content."""
+    ``rng`` so generation order never affects content.
+
+    A sample draws limb directions within per-limb cones around the rest
+    pose, runs forward kinematics, canonicalizes and projects through a
+    camera drawn from the spec ranges. Its image is the domain background
+    plus a blob per in-view joint plus pixel noise; a background sample
+    keeps the pose and camera but renders no blob. With probability
+    ``occlusion_mix`` a sample is then occluded, half the time by an object
+    and half the time by truncation:
+
+    * object: a rectangle is erased back to the domain background (the
+      figure passes behind scenery), so occluded regions look exactly like
+      person-free background, and the joints it covers leave view;
+    * truncation: the frame zooms isotropically into its top or bottom,
+      and the 2D pose, camera, visibility and heatmaps follow.
+
+    Ground-truth 2D coordinates of out-view joints are kept for
+    evaluation."""
     seeds = rng.integers(0, 2 ** 63 - 1, size=n)
-    out = []
-    for i in range(n):
-        sub = np.random.default_rng(int(seeds[i]))
-        if backgrounds:
-            out.append(make_background(spec, sub, tree, image_size, heatmap_size, sigma))
-            continue
-        sample = make_sample(spec, sub, tree, image_size, heatmap_size, sigma)
-        if occlusion_mix > 0 and sub.uniform() < occlusion_mix:
-            mode = "object" if sub.uniform() < 0.5 else "truncation"
-            sample = simulate_occlusion(sample, sub, mode, spec, tree,
-                                        heatmap_size, sigma)
-        out.append(sample)
-    return out
+    j = tree.joint_count
+    d = _draw(spec, seeds, occlusion_mix, backgrounds, j, image_size)
+    theta = spec.cone_angle * np.sqrt(d.u)
+    limbs = normalize_limb_vectors(_cone_limbs(rest_limbs(tree), theta, d.normal))
+    pose = canonicalize(forward_kinematics(tree, limbs), tree)
+    gt_p, gt_q = project(pose, d.euler, d.scale, d.trans)
+    vis = np.zeros((n, j), dtype=bool) if backgrounds else _in_frame(gt_q)
+    obs = render_observation(gt_q, vis, spec, tree, image_size, d.noise)
+
+    # object: erase the rectangle back to background; covered joints leave view
+    obj = np.flatnonzero(d.mode == _OBJECT)
+    _, bg = domain_appearance(spec, tree, image_size)
+    patch = bg + d.patch_noise[obj]
+    px = np.arange(image_size)
+    r0, r1, c0, c1 = d.rect[obj].T[..., None]
+    erased = ((px >= r0) & (px < r1))[:, :, None] & ((px >= c0) & (px < c1))[:, None, :]
+    obs[obj] = np.where(erased, np.clip(patch, 0.0, 1.0), obs[obj])
+    u0, v0, wf, hf = d.box[obj].T[..., None]
+    q = gt_q[obj]
+    vis[obj] &= ~((q[..., 0] >= u0) & (q[..., 0] <= u0 + wf)
+                  & (q[..., 1] >= v0) & (q[..., 1] <= v0 + hf))
+
+    # truncation: zoom into the top or bottom; 2D pose, view and camera follow
+    trunc = np.flatnonzero(d.mode == _TRUNCATION)
+    keep = TRUNCATION_KEEP
+    v0 = np.where(d.top[trunc], 0.0, 1.0 - keep)
+    corner = np.stack([np.full_like(v0, (1.0 - keep) / 2.0), v0], axis=-1)
+    obs[trunc] = _bilinear_zoom(obs[trunc], (1.0 - keep) / 2.0, v0, keep)
+    gt_q[trunc] = (gt_q[trunc] - corner[:, None, :]) / keep
+    vis[trunc] = _in_frame(gt_q[trunc])
+    d.scale[trunc] /= keep
+    d.trans[trunc] = (d.trans[trunc] - corner) / keep
+
+    gt_h = render_gaussian_heatmap(gt_q, sigma, (heatmap_size, heatmap_size))
+    return [Sample(obs=obs[i], gt_p=gt_p[i], gt_q=gt_q[i], gt_h=gt_h[i],
+                   visibility=vis[i], domain=spec.name,
+                   occlusion=OCCLUSION_MODES[d.mode[i]], is_background=backgrounds,
+                   cam=CameraParams(euler=d.euler[i], scale=float(d.scale[i]),
+                                    translation=d.trans[i]))
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ class HyperParams:
                 raise ValueError(f"HyperParams.{name} must be nonnegative")
         if self.k_interval < 1 or self.max_iter < 0:
             raise ValueError("HyperParams: k_interval >= 1 and max_iter >= 0 required")
+        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+            raise ValueError("HyperParams.batch_size must be an integer >= 1")
+        if not 0 < self.sigma < math.inf:  # the width of every ground-truth heatmap
+            raise ValueError("HyperParams.sigma must be positive and finite")
+        if not (isinstance(self.lr_overrides, dict) and all(
+                isinstance(k, str) and isinstance(v, (int, float)) and 0 <= v < math.inf
+                for k, v in self.lr_overrides.items())):
+            raise ValueError("HyperParams.lr_overrides must map loss names to "
+                             "finite nonnegative learning rates")
 
     def lr_for(self, loss_name):
         return self.lr_overrides.get(loss_name, self.lr)

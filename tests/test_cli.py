@@ -271,3 +271,70 @@ def test_generated_outputs_are_deterministic(tmp_path, capsys):
     for fname in ("source.obs.f32", "target.json", "config.json"):
         assert ((tmp_path / "a" / fname).read_bytes()
                 == (tmp_path / "b" / fname).read_bytes()), fname
+
+
+
+def run_edited(tmp_path, capsys, section, key, value, command="train"):
+    """Run ``command`` on the tiny config with ``doc[section][key]`` set to
+    ``value``; returns (exit code, parsed JSON error or None)."""
+    with open(tiny_config(tmp_path)) as f:
+        doc = json.load(f)
+    doc[section][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    rc = main(args + (["--mode", "baseline"] if command == "train" else []))
+    err = capsys.readouterr().err
+    return rc, json.loads(err) if err else None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise_level", -0.1), ("bg_amplitude", -0.5), ("cone_angle", -0.2),
+    ("blob_sigma_px", 0.0), ("blob_amp_range", [0.9, 0.3])])
+def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
+    rc, err = run_edited(tmp_path, capsys, "target", key, value, "generate-data")
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert f"DomainSpec.{key}" in err["error"]
+    assert not (tmp_path / "o" / "target.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("batch_size", 2.5), ("sigma", 0.0), ("sigma", -1.0),
+    ("lr_overrides", [1]), ("lr_overrides", {"sup": "x"}),
+    ("lr_overrides", {"sup": -1e-3}), ("lr_overrides", {"sup": float("inf")})])
+def test_bad_hyperparams_exit_2(tmp_path, capsys, key, value):
+    rc, err = run_edited(tmp_path, capsys, "hyper", key, value)
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert f"HyperParams.{key}" in err["error"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("heatmap_size", 0), ("image_size", 0), ("trunk_width", 0),
+    ("trunk_blocks", -1), ("fusion_width", 0), ("encoder_widths", [64, 0])])
+def test_bad_model_config_exits_2(tmp_path, capsys, key, value):
+    rc, err = run_edited(tmp_path, capsys, "model", key, value)
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert f"ModelConfig.{key}" in err["error"]
+
+
+def test_bad_model_config_in_checkpoint_exits_4(tmp_path, capsys):
+    cfgp = tiny_config(tmp_path)
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    with open(prefix + ".config.json") as f:
+        doc = json.load(f)
+    doc["heatmap_size"] = 0
+    with open(prefix + ".config.json", "w") as f:
+        json.dump(doc, f)
+    rc = main(["evaluate", "--config", cfgp, "--model", prefix,
+               "--out", str(tmp_path / "ev")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "ModelConfig.heatmap_size" in err["error"]
+
+
+def test_config_directory_exits_3(tmp_path, capsys):
+    rc = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_MISSING_FILES
+    assert "cannot read config" in err["error"]

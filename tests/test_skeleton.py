@@ -9,7 +9,7 @@ from poseadapt.skeleton import (CameraParams, DegenerateFaceError,
                                 canonicalize, default_tree, euler_to_rotation,
                                 face_direction, forward_kinematics, mpjpe,
                                 normalize_limb_vectors, pa_mpjpe,
-                                procrustes_align)
+                                procrustes_align, project, row_dot, row_norm)
 
 
 def random_limbs(rng, tree):
@@ -271,3 +271,34 @@ def test_procrustes_degenerate_falls_back_to_translation():
     aligned, degenerate = procrustes_align(pred, gt)
     assert degenerate
     np.testing.assert_allclose(aligned.mean(axis=0), gt.mean(axis=0), atol=1e-12)
+
+
+def test_stacked_helpers_match_single_pose_calls():
+    # each helper's single-pose call is its stacked code with no leading
+    # axis, so a stack must give exactly the bits of its rows
+    tree = default_tree()
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((6, tree.joint_count, 3))
+    limbs = normalize_limb_vectors(raw)
+    poses = forward_kinematics(tree, limbs)
+    canon = canonicalize(poses, tree)
+    euler = rng.uniform(-1, 1, (6, 3))
+    scale = rng.uniform(0.2, 0.3, 6)
+    trans = rng.uniform(0.4, 0.6, (6, 2))
+    pose_cam, q = project(canon, euler, scale, trans)
+    a, b = rng.standard_normal((2, 6, 3))
+    for i in range(6):
+        np.testing.assert_array_equal(limbs[i], normalize_limb_vectors(raw[i]))
+        np.testing.assert_array_equal(poses[i], forward_kinematics(tree, limbs[i]))
+        np.testing.assert_array_equal(face_direction(poses, tree)[i],
+                                      face_direction(poses[i], tree))
+        np.testing.assert_array_equal(canon[i], canonicalize(poses[i], tree))
+        np.testing.assert_array_equal(euler_to_rotation(euler)[i],
+                                      euler_to_rotation(euler[i]))
+        cam = CameraParams(euler=euler[i], scale=scale[i], translation=trans[i])
+        single_cam, single_q = camera_transform(canon[i], cam)
+        np.testing.assert_array_equal(pose_cam[i], single_cam)
+        np.testing.assert_array_equal(q[i], single_q)
+        # the row products keep the bits of 1-D dot products and norms
+        assert row_dot(a, b)[i] == a[i] @ b[i]
+        assert row_norm(a)[i] == np.linalg.norm(a[i])

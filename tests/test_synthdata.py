@@ -1,25 +1,30 @@
 """Toy domain generator: determinism, ground-truth consistency, occlusion
 and flip behavior, dataset IO."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.heatmap import flip_joint_ids, soft_argmax
 from poseadapt.skeleton import default_tree, mpjpe
 from poseadapt.synthdata import (TRUNCATION_KEEP, DataInvariantError,
                                  DomainSpec, build_dataset, domain_appearance,
-                                 flip_observation, load_dataset, make_background,
-                                 make_sample, mirror_pose3d, save_dataset,
-                                 simulate_occlusion, validate_samples)
+                                 flip_observation, load_dataset, mirror_pose3d,
+                                 render_observation, save_dataset,
+                                 validate_samples)
 
 TREE = default_tree()
 SPEC = DomainSpec(name="test", appearance_seed=7)
 
 
-def test_make_sample_ground_truth_is_consistent():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        s = make_sample(SPEC, rng, TREE)
+def build(n, occlusion_mix, seed, spec=SPEC, **kw):
+    return build_dataset(spec, n, occlusion_mix, np.random.default_rng(seed), TREE, **kw)
+
+
+def test_sample_ground_truth_is_consistent():
+    for s in build(5, 0.0, 0):
         assert s.obs.shape == (32, 32)
         assert np.all((s.obs >= 0) & (s.obs <= 1))
         # the stored camera reproduces the stored 2D pose from the 3D pose
@@ -37,11 +42,46 @@ def test_make_sample_ground_truth_is_consistent():
 
 
 def test_generation_is_deterministic():
-    a = make_sample(SPEC, np.random.default_rng(42), TREE)
-    b = make_sample(SPEC, np.random.default_rng(42), TREE)
-    np.testing.assert_array_equal(a.obs, b.obs)
-    np.testing.assert_array_equal(a.gt_p, b.gt_p)
-    np.testing.assert_array_equal(a.gt_q, b.gt_q)
+    for a, b in zip(build(3, 0.5, 42), build(3, 0.5, 42)):
+        np.testing.assert_array_equal(a.obs, b.obs)
+        np.testing.assert_array_equal(a.gt_p, b.gt_p)
+        np.testing.assert_array_equal(a.gt_q, b.gt_q)
+
+
+# SHA-256 over every field of all six splits of GOLDEN_CONFIG, recorded
+# from the per-sample generator that the stacked one replaced
+GOLDEN_DIGEST = "70f2a1d9631d552703b3279ad7f3b40bb3b3e62da78f45e01eec6f250378526c"
+
+
+def test_generate_splits_matches_the_recorded_digest():
+    # object occlusion, truncation and backgrounds all occur in these splits
+    cfg = ExperimentConfig(seed=2, occlusion_mix=0.5, n_source=12, n_target=12,
+                           n_background=4, n_eval=8)
+    splits = generate_splits(cfg)
+    kinds = {s.occlusion for ds in splits.values() for s in ds}
+    assert kinds == {"none", "object", "truncation"}
+    h = hashlib.sha256()
+    for name in sorted(splits):
+        for s in splits[name]:
+            for key in ("obs", "gt_p", "gt_q", "gt_h", "visibility"):
+                h.update(np.ascontiguousarray(getattr(s, key)).tobytes())
+            h.update(b"-" if s.cam is None else np.concatenate(
+                [s.cam.euler, [s.cam.scale], s.cam.translation]).tobytes())
+            h.update(f"{s.domain}|{s.occlusion}|{s.is_background}".encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_render_observation_stack_matches_single_images():
+    ds = build(6, 0.0, 3)
+    q = np.stack([s.gt_q for s in ds])
+    vis = np.stack([s.visibility for s in ds])
+    vis[2] = False  # an image with no blob at all
+    noise = np.random.default_rng(4).normal(0.0, 0.02, size=(6, 32, 32))
+    stacked = render_observation(q, vis, SPEC, TREE, 32, noise)
+    singles = [render_observation(q[i], vis[i], SPEC, TREE, 32, noise[i]) for i in range(6)]
+    np.testing.assert_array_equal(stacked, np.stack(singles))
+    _, bg = domain_appearance(SPEC, TREE, 32)
+    np.testing.assert_array_equal(stacked[2], np.clip(bg + noise[2], 0.0, 1.0))
 
 
 def test_different_domains_have_different_appearance():
@@ -57,48 +97,57 @@ def test_blob_amplitudes_are_lr_symmetric():
 
 
 def test_background_sample_has_no_person():
-    rng = np.random.default_rng(1)
-    bg = make_background(SPEC, rng, TREE)
-    assert bg.is_background
-    assert not bg.visibility.any()
-    # the image is texture + noise only: no blob anywhere near the pose
     _, texture = domain_appearance(SPEC, TREE, 32)
-    assert np.abs(bg.obs - np.clip(texture, 0, 1)).max() < 6 * SPEC.noise_level
+    for bg in build(3, 0.0, 1, backgrounds=True):
+        assert bg.is_background and bg.occlusion == "none"
+        assert not bg.visibility.any()
+        # the image is texture + noise only: no blob anywhere near the pose
+        assert np.abs(bg.obs - np.clip(texture, 0, 1)).max() < 6 * SPEC.noise_level
+
+
+def occluded_pairs(mode, n=16, seed=2):
+    """(plain, occluded) samples drawn from the same seeds: a sample's pose,
+    camera and image noise come before its occlusion draws."""
+    pairs = [(s, o) for s, o in zip(build(n, 0.0, seed), build(n, 1.0, seed))
+             if o.occlusion == mode]
+    assert pairs
+    return pairs
 
 
 def test_object_occlusion_hides_covered_joints_only():
-    rng = np.random.default_rng(2)
-    s = make_sample(SPEC, rng, TREE)
-    occ = simulate_occlusion(s, np.random.default_rng(3), "object", SPEC, TREE)
-    assert occ.occlusion == "object"
-    np.testing.assert_array_equal(occ.gt_q, s.gt_q)     # gt untouched
-    np.testing.assert_array_equal(occ.gt_p, s.gt_p)
-    assert np.all(occ.visibility <= s.visibility)       # can only hide
+    _, texture = domain_appearance(SPEC, TREE, 32)
+    for s, occ in occluded_pairs("object"):
+        np.testing.assert_array_equal(occ.gt_q, s.gt_q)     # gt untouched
+        np.testing.assert_array_equal(occ.gt_p, s.gt_p)
+        np.testing.assert_array_equal(occ.gt_h, s.gt_h)
+        assert np.all(occ.visibility <= s.visibility)       # can only hide
+        # the changed pixels now show the background texture plus noise
+        changed = occ.obs != s.obs
+        assert changed.any()
+        assert np.abs(occ.obs - texture)[changed].max() < 6 * SPEC.noise_level
 
 
 def test_truncation_updates_ground_truth_exactly():
-    rng = np.random.default_rng(4)
-    s = make_sample(SPEC, rng, TREE)
-    t = simulate_occlusion(s, np.random.default_rng(5), "truncation", SPEC, TREE)
-    assert t.occlusion == "truncation"
-    # affine update of the 2D pose matches the zoom window
-    u0 = (1.0 - TRUNCATION_KEEP) / 2.0
-    shift = s.gt_q - t.gt_q * TRUNCATION_KEEP
-    assert np.allclose(shift[:, 0], u0, atol=1e-12)
-    assert (np.allclose(shift[:, 1], 0.0, atol=1e-12)
-            or np.allclose(shift[:, 1], 1.0 - TRUNCATION_KEEP, atol=1e-12))
-    # 3D pose unchanged; the updated camera reprojects to the new 2D pose
-    # (gt_p is already camera-space, so project without re-rotating)
-    np.testing.assert_array_equal(t.gt_p, s.gt_p)
-    q = t.cam.scale * t.gt_p[:, :2] + t.cam.translation
-    np.testing.assert_allclose(q, t.gt_q, atol=1e-9)
-    np.testing.assert_array_equal(
-        t.visibility, np.all((t.gt_q >= 0) & (t.gt_q <= 1), axis=-1))
+    for s, t in occluded_pairs("truncation"):
+        # affine update of the 2D pose matches the zoom window
+        u0 = (1.0 - TRUNCATION_KEEP) / 2.0
+        shift = s.gt_q - t.gt_q * TRUNCATION_KEEP
+        assert np.allclose(shift[:, 0], u0, atol=1e-12)
+        assert (np.allclose(shift[:, 1], 0.0, atol=1e-12)
+                or np.allclose(shift[:, 1], 1.0 - TRUNCATION_KEEP, atol=1e-12))
+        # 3D pose unchanged; the updated camera reprojects to the new 2D pose
+        # (gt_p is already camera-space, so project without re-rotating)
+        np.testing.assert_array_equal(t.gt_p, s.gt_p)
+        q = t.cam.scale * t.gt_p[:, :2] + t.cam.translation
+        np.testing.assert_allclose(q, t.gt_q, atol=1e-9)
+        np.testing.assert_array_equal(
+            t.visibility, np.all((t.gt_q >= 0) & (t.gt_q <= 1), axis=-1))
+        np.testing.assert_allclose(soft_argmax(t.gt_h)[t.visibility],
+                                   t.gt_q[t.visibility], atol=0.08)
 
 
 def test_flip_observation_is_consistent():
-    rng = np.random.default_rng(6)
-    s = make_sample(SPEC, rng, TREE)
+    s = build(1, 0.0, 6)[0]
     f = flip_observation(s, TREE)
     np.testing.assert_array_equal(f.obs, s.obs[:, ::-1])
     np.testing.assert_allclose(f.gt_q, flip_joint_ids(s.gt_q, TREE), atol=1e-12)
@@ -114,7 +163,7 @@ def test_mirror_pose3d_matches_projected_flip():
     # projecting the mirrored 3D pose with the mirrored camera convention
     # must give the flipped 2D pose when the camera is axis aligned
     rng = np.random.default_rng(7)
-    s = make_sample(SPEC, rng, TREE)
+    s = build(1, 0.0, 7)[0]
     m = mirror_pose3d(s.gt_p, TREE)
     assert mpjpe(mirror_pose3d(m, TREE), s.gt_p) < 1e-12  # involution
     # an (N, J, 3) stack mirrors exactly like its rows
@@ -133,11 +182,9 @@ def test_flip_of_render_matches_render_of_flip():
     # background texture and pixel noise are switched off to isolate this
     quiet = DomainSpec(name="quiet", appearance_seed=7, noise_level=0.0,
                        bg_amplitude=0.0)
-    s = make_sample(quiet, np.random.default_rng(8), TREE)
+    s = build(1, 0.0, 8, spec=quiet)[0]
     f = flip_observation(s, TREE)
-    from poseadapt.synthdata import render_observation
-    rerendered = render_observation(f.gt_q, f.visibility, quiet,
-                                    np.random.default_rng(0), TREE, 32)
+    rerendered = render_observation(f.gt_q, f.visibility, quiet, TREE, 32)
     np.testing.assert_allclose(rerendered, f.obs, atol=1e-9)
 
 
@@ -202,3 +249,11 @@ def test_domain_spec_rejects_unknown_keys_and_bad_ranges():
         DomainSpec(name="x", appearance_seed=0, scale_range=(0.3, 0.2))
     with pytest.raises(ValueError):
         DomainSpec(name="x", appearance_seed=0, scale_range=(0.0, 0.2))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_level", -0.1), ("bg_amplitude", -0.5), ("cone_angle", -0.1),
+    ("blob_sigma_px", 0.0), ("blob_amp_range", (1.0, 0.6))])
+def test_domain_spec_rejects_bad_appearance(field, value):
+    with pytest.raises(ValueError, match=f"DomainSpec.{field}"):
+        DomainSpec(name="x", appearance_seed=0, **{field: value})
