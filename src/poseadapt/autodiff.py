@@ -73,7 +73,10 @@ class Parameter(Tensor):
         if not self.data.flags.c_contiguous:
             # the optimizer updates flat views of data
             self.data = self.data.copy()
-        self.grad = np.zeros_like(self.data)
+        # np.zeros takes calloc'd memory, which large arrays get as fresh
+        # zero pages mapped on first write (zeros_like writes them all):
+        # a model that never runs backward never pays for its gradients
+        self.grad = np.zeros(self.data.shape)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -294,9 +297,9 @@ def softplus(a):
 
 def softmax_rows(a):
     """Softmax over the last axis, max-subtracted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

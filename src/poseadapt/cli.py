@@ -97,6 +97,9 @@ def _splits(cfg, data_dir):
             _fail(EXIT_MISSING_FILES, f"dataset file not found: {manifest}")
         try:
             splits[name] = load_dataset(data_dir, name)
+        except OSError as e:  # a field file the manifest names
+            _fail(EXIT_MISSING_FILES, f"cannot read dataset file {e.filename}: "
+                                      f"{e.strerror or e}")
         except DataInvariantError as e:
             _fail(EXIT_BAD_DATA, f"invalid dataset {name}: {e}")
     return splits

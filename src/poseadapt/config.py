@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import ModelConfig
 from .skeleton import default_tree
-from .synthdata import DomainSpec, build_dataset
+from .synthdata import DomainSpec, build_dataset, check_field_types
 from .trainer import HyperParams
 
 
@@ -48,6 +48,7 @@ class ExperimentConfig:
     occlusion_mix: float = 0.0   # fraction of occluded/truncated samples
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("n_source", "n_target", "n_background"):
             if getattr(self, name) < 0:
                 raise ValueError(f"ExperimentConfig.{name} must be nonnegative")

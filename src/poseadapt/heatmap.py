@@ -48,7 +48,10 @@ def entropy(heat):
     A (..., J, H, W) stack gives (..., J) entropies."""
     heat = np.asarray(heat, dtype=np.float64)
     flat = heat.reshape(heat.shape[:-2] + (-1,))
-    terms = np.where(flat > 0, flat * np.log(np.maximum(flat, 1e-300)), 0.0)
+    terms = np.maximum(flat, 1e-300)
+    np.log(terms, out=terms)
+    terms *= flat
+    terms[~(flat > 0)] = 0.0
     return -terms.sum(axis=-1)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .heatmap import cell_centers
-from .optim import copy_checkpoint, save_params
+from .optim import copy_checkpoint, load_checkpoint, save_params
 from .skeleton import KinematicTree, default_tree
-from .synthdata import DataInvariantError
+from .synthdata import DataInvariantError, check_field_types
 
 SCALE_FLOOR = 0.1  # softplus shift keeping the projection from collapsing
 
@@ -34,6 +34,7 @@ class ModelConfig:
     fusion_blocks: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
         sizes = [("image_size", self.image_size, 1), ("heatmap_size", self.heatmap_size, 1),
                  ("trunk_width", self.trunk_width, 1), ("trunk_blocks", self.trunk_blocks, 0),
@@ -41,7 +42,7 @@ class ModelConfig:
                  ("fusion_blocks", self.fusion_blocks, 0)]
         sizes += [(f"encoder_widths[{i}]", w, 1) for i, w in enumerate(self.encoder_widths)]
         for name, value, least in sizes:
-            if not (isinstance(value, int) and value >= least):
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
                 raise ValueError(f"ModelConfig.{name} must be an integer >= {least}, "
                                  f"not {value!r}")
 
@@ -64,13 +65,40 @@ class NetworkOutputs:
     q_proj: Tensor       # (B, J, 2) projected coordinates
 
 
-def _init_dense(rng, fan_in, fan_out, name, params):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    w = Parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=name + ".w")
-    b = Parameter(np.zeros(fan_out), name=name + ".b")
-    params[w.name] = w
-    params[b.name] = b
-    return w, b
+def _dense_shapes(layers):
+    """name -> shape of the weights and the bias of each (name, fan_in,
+    fan_out) dense layer, in the order of ``layers``."""
+    shapes = {}
+    for name, fan_in, fan_out in layers:
+        shapes[name + ".w"] = (fan_in, fan_out)
+        shapes[name + ".b"] = (fan_out,)
+    return shapes
+
+
+def _init_params(rng, shapes):
+    """Glorot-uniform weights and zero biases for a ``_dense_shapes``
+    table, drawn from ``rng`` in the table's order."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".w"):
+            bound = np.sqrt(6.0 / sum(shape))
+            params[name] = Parameter(rng.uniform(-bound, bound, size=shape), name=name)
+        else:
+            params[name] = Parameter(np.zeros(shape), name=name)
+    return params
+
+
+def _posenet_shapes(c, tree):
+    """The parameter table of a PoseNet with config ``c`` on ``tree``."""
+    j = tree.joint_count
+    widths = (c.image_size * c.image_size,) + tuple(c.encoder_widths)
+    layers = [(f"enc{i}", widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
+    layers += [("loc_head", widths[-1], j * c.heatmap_size * c.heatmap_size),
+               ("trunk_in", widths[-1], c.trunk_width)]
+    layers += [(f"trunk_res{i}.fc{k}", c.trunk_width, c.trunk_width)
+               for i in range(c.trunk_blocks) for k in (1, 2)]
+    layers += [("cam_head", c.trunk_width, 6), ("limb_head", c.trunk_width, 3 * j)]
+    return _dense_shapes(layers)
 
 
 def _dense(params, name, x):
@@ -88,29 +116,19 @@ class PoseNet:
     layer name; the forward pass is a pure function of (params, obs)."""
 
     def __init__(self, config=None, tree=None, rng=None):
-        self.config = config or ModelConfig()
-        self.tree = tree or default_tree()
-        rng = rng or np.random.default_rng(0)
-        c = self.config
-        j = self.tree.joint_count
-        hw = c.heatmap_size * c.heatmap_size
-        self.params = {}
-        widths = (c.image_size * c.image_size,) + tuple(c.encoder_widths)
-        for i in range(len(widths) - 1):
-            _init_dense(rng, widths[i], widths[i + 1], f"enc{i}", self.params)
-        _init_dense(rng, widths[-1], j * hw, "loc_head", self.params)
-        _init_dense(rng, widths[-1], c.trunk_width, "trunk_in", self.params)
-        for i in range(c.trunk_blocks):
-            _init_dense(rng, c.trunk_width, c.trunk_width, f"trunk_res{i}.fc1", self.params)
-            _init_dense(rng, c.trunk_width, c.trunk_width, f"trunk_res{i}.fc2", self.params)
-        _init_dense(rng, c.trunk_width, 6, "cam_head", self.params)
-        _init_dense(rng, c.trunk_width, 3 * j, "limb_head", self.params)
-        # constants of the kinematic chain
-        self._grid = cell_centers(c.heatmap_size, c.heatmap_size)
-        self._ancestors = self.tree.ancestor_matrix()
-        self._lengths = self.tree.bone_length[:, None].copy()
+        self._setup(config or ModelConfig(), tree or default_tree())
+        self.params = _init_params(rng or np.random.default_rng(0),
+                                   _posenet_shapes(self.config, self.tree))
+
+    def _setup(self, config, tree):
+        """Config, tree and the constants of the kinematic chain: all of
+        the network but its parameters."""
+        self.config, self.tree = config, tree
+        self._grid = cell_centers(config.heatmap_size, config.heatmap_size)
+        self._ancestors = tree.ancestor_matrix()
+        self._lengths = tree.bone_length[:, None].copy()
         self._lengths[0] = 0.0  # root row never contributes
-        self._nonroot = np.ones((j, 1))
+        self._nonroot = np.ones((tree.joint_count, 1))
         self._nonroot[0] = 0.0
 
     def parameters(self):
@@ -184,8 +202,9 @@ class PoseNet:
         except (KeyError, TypeError, ValueError) as e:
             raise DataInvariantError(f"checkpoint {path_prefix}: bad model "
                                      f"description: {e!r}") from e
-        net = cls(config=config, tree=tree)
-        copy_checkpoint(net.params, path_prefix)
+        net = cls.__new__(cls)  # no initial weights: the checkpoint has them all
+        net._setup(config, tree)
+        net.params = load_checkpoint(path_prefix, _posenet_shapes(config, tree))
         return net
 
 
@@ -225,12 +244,11 @@ class FusionNet:
         rng = rng or np.random.default_rng(0)
         j = self.tree.joint_count
         w = self.config.fusion_width
-        self.params = {}
-        _init_dense(rng, 6 * j, w, "fuse_in", self.params)
-        for i in range(self.config.fusion_blocks):
-            _init_dense(rng, w, w, f"fuse_res{i}.fc1", self.params)
-            _init_dense(rng, w, w, f"fuse_res{i}.fc2", self.params)
-        _init_dense(rng, w, 3 * j, "fuse_out", self.params)
+        layers = [("fuse_in", 6 * j, w)]
+        layers += [(f"fuse_res{i}.fc{k}", w, w)
+                   for i in range(self.config.fusion_blocks) for k in (1, 2)]
+        layers += [("fuse_out", w, 3 * j)]
+        self.params = _init_params(rng, _dense_shapes(layers))
         # zero correction at init: the fused pose starts equal to the input
         self.params["fuse_out.w"].data[...] = 0.0
         self.params["fuse_out.b"].data[...] = 0.0

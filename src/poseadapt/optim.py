@@ -85,7 +85,8 @@ def save_params(params, path_prefix):
 
 def load_params(path_prefix):
     """Read a checkpoint written by ``save_params``. Returns an ordered
-    dict name -> Parameter. A manifest that does not describe the blob
+    dict name -> Parameter. The blob is read once and each parameter is a
+    view of its own part of it. A manifest that does not describe the blob
     exactly raises ``DataInvariantError``."""
     try:
         with open(path_prefix + ".json") as f:
@@ -98,14 +99,36 @@ def load_params(path_prefix):
     if blob.size != total:
         raise DataInvariantError(f"checkpoint {path_prefix}: blob holds {blob.size} "
                                  f"floats, manifest sizes sum to {total}")
-    out = {}
     for name, shape, lo, size in entries:
         if lo < 0 or lo + size > blob.size or int(np.prod(shape)) != size:
             raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} with "
                                      f"shape {list(shape)} does not fit offset {lo}, "
                                      f"size {size}")
-        out[name] = Parameter(blob[lo:lo + size].reshape(shape).copy(), name=name)
-    return out
+    spans = sorted((lo, lo + size, name) for name, _, lo, size in entries)
+    for (_, end, _), (lo, _, name) in zip(spans, spans[1:]):
+        if lo < end:  # the two views would share memory
+            raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} at "
+                                     f"offset {lo} overlaps another entry")
+    return {name: Parameter(blob[lo:lo + size].reshape(shape), name=name)
+            for name, shape, lo, size in entries}
+
+
+def load_checkpoint(path_prefix, shapes):
+    """The parameters of a checkpoint that must hold exactly the names and
+    shapes of ``shapes`` (dict name -> shape tuple), in that dict's order.
+    Anything else raises ``DataInvariantError``."""
+    loaded = load_params(path_prefix)
+    missing = sorted(set(shapes) - set(loaded))
+    extra = sorted(set(loaded) - set(shapes))
+    if missing or extra:
+        raise DataInvariantError(f"checkpoint {path_prefix}: missing entries {missing}, "
+                                 f"unexpected entries {extra}")
+    for name, p in loaded.items():
+        if p.data.shape != shapes[name]:
+            raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} has shape "
+                                     f"{list(p.data.shape)}, model expects "
+                                     f"{list(shapes[name])}")
+    return {name: loaded[name] for name in shapes}
 
 
 def copy_checkpoint(params, path_prefix):
@@ -113,16 +136,6 @@ def copy_checkpoint(params, path_prefix):
     checkpoint. The checkpoint must hold exactly these names with these
     shapes; otherwise ``DataInvariantError`` is raised and nothing is
     copied."""
-    loaded = load_params(path_prefix)
-    missing = sorted(set(params) - set(loaded))
-    extra = sorted(set(loaded) - set(params))
-    if missing or extra:
-        raise DataInvariantError(f"checkpoint {path_prefix}: missing entries {missing}, "
-                                 f"unexpected entries {extra}")
-    for name, p in loaded.items():
-        if p.data.shape != params[name].data.shape:
-            raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} has shape "
-                                     f"{list(p.data.shape)}, model expects "
-                                     f"{list(params[name].data.shape)}")
+    loaded = load_checkpoint(path_prefix, {name: p.data.shape for name, p in params.items()})
     for name, p in loaded.items():
         params[name].data[...] = p.data

@@ -9,8 +9,9 @@ A domain is defined by a DomainSpec; generation is a pure function of
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,29 @@ from .skeleton import (CameraParams, canonicalize, forward_kinematics,
 
 class DataInvariantError(ValueError):
     """A loaded dataset violates its declared invariants."""
+
+
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# annotation -> (test, description) of the scalar config field types
+_SCALARS = {"int": (lambda x: _is_real(x) and isinstance(x, numbers.Integral), "an integer"),
+            "float": (_is_real, "a real number"),
+            "bool": (lambda x: isinstance(x, bool), "true or false"),
+            "str": (lambda x: isinstance(x, str), "a string")}
+
+
+def check_field_types(config):
+    """Raise ``ValueError`` naming ``Class.key`` for the first int, float,
+    bool or str field of the dataclass ``config`` that holds a value of
+    another type. A bool is not a number here."""
+    for f in fields(config):
+        test, what = _SCALARS.get(f.type, (None, None))
+        value = getattr(config, f.name)
+        if test is not None and not test(value):
+            raise ValueError(f"{type(config).__name__}.{f.name} must be {what}, "
+                             f"not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,15 +64,23 @@ class DomainSpec:
     blob_sigma_px: float = 1.4
 
     def __post_init__(self):
-        object.__setattr__(self, "euler_range", tuple(tuple(r) for r in self.euler_range))
-        object.__setattr__(self, "scale_range", tuple(self.scale_range))
-        object.__setattr__(self, "trans_range", tuple(tuple(r) for r in self.trans_range))
-        object.__setattr__(self, "blob_amp_range", tuple(self.blob_amp_range))
-        ranges = {"euler_range": self.euler_range, "scale_range": [self.scale_range],
-                  "trans_range": self.trans_range, "blob_amp_range": [self.blob_amp_range]}
-        for name, pairs in ranges.items():
+        check_field_types(self)
+        # range -> how many (low, high) pairs it holds; 0 for a bare pair
+        for name, count in {"euler_range": 3, "scale_range": 0, "trans_range": 2,
+                            "blob_amp_range": 0}.items():
+            value = getattr(self, name)
+            try:
+                pairs = tuple(tuple(r) for r in (value if count else [value]))
+            except TypeError:
+                pairs = ()
+            if not (len(pairs) == max(count, 1) and all(
+                    len(p) == 2 and all(_is_real(x) for x in p) for p in pairs)):
+                what = f"{count} (low, high) pairs" if count else "a (low, high) pair"
+                raise ValueError(f"DomainSpec.{name} must be {what} of real numbers, "
+                                 f"not {value!r}")
             if any(hi < lo for lo, hi in pairs):
                 raise ValueError(f"DomainSpec.{name}: a range has high < low")
+            object.__setattr__(self, name, pairs if count else pairs[0])
         if self.scale_range[0] <= 0:
             raise ValueError("DomainSpec.scale_range must be positive")
         for name in ("cone_angle", "noise_level", "bg_amplitude"):
@@ -337,7 +369,9 @@ def build_dataset(spec, n, occlusion_mix, rng, tree, image_size=32,
 # dataset files: JSON manifest + float32 blobs
 
 
-_FIELDS = ("obs", "gt_p", "gt_q", "gt_h", "visibility")
+# field -> the axes of its array: N samples, J joints, an R x R image and
+# an H x W heatmap grid
+_FIELDS = {"obs": "NRR", "gt_p": "NJ3", "gt_q": "NJ2", "gt_h": "NJHW", "visibility": "NJ"}
 
 
 def save_dataset(samples, out_dir, name="dataset"):
@@ -366,42 +400,80 @@ def save_dataset(samples, out_dir, name="dataset"):
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
+def _camera(doc):
+    if doc is None:
+        return None
+    return CameraParams(euler=np.array(doc["euler"]), scale=doc["scale"],
+                        translation=np.array(doc["translation"]))
+
+
 def load_dataset(out_dir, name="dataset", validate=True):
-    with open(os.path.join(out_dir, f"{name}.json")) as f:
-        manifest = json.load(f)
+    """Read the dataset ``name`` that ``save_dataset`` wrote to ``out_dir``
+    as a list of ``Sample``. A manifest that does not describe its field
+    files raises ``DataInvariantError``, as does, with ``validate``, a
+    sample that breaks an invariant (see ``validate_arrays``). A file
+    that cannot be read raises ``OSError``."""
+    try:
+        with open(os.path.join(out_dir, f"{name}.json")) as f:
+            manifest = json.load(f)
+        meta = [(m["domain"], m["occlusion"], m["is_background"], _camera(m["cam"]))
+                for m in manifest["samples"]]
+        files = {key: (os.path.join(out_dir, manifest["fields"][key]["file"]),
+                       manifest["fields"][key]["shape"]) for key in _FIELDS}
+    except (KeyError, TypeError, ValueError) as e:  # JSON syntax errors are ValueErrors
+        raise DataInvariantError(f"bad manifest: {e!r}") from e
+    dims = {"N": len(meta)}
     arrays = {}
-    for key in _FIELDS:
-        meta = manifest["fields"][key]
-        blob = np.fromfile(os.path.join(out_dir, meta["file"]), dtype="<f4")
-        arrays[key] = blob.reshape(meta["shape"]).astype(np.float64)
-    samples = []
-    for i, meta in enumerate(manifest["samples"]):
-        cam = None
-        if meta["cam"] is not None:
-            cam = CameraParams(euler=np.array(meta["cam"]["euler"]),
-                               scale=meta["cam"]["scale"],
-                               translation=np.array(meta["cam"]["translation"]))
-        samples.append(Sample(obs=arrays["obs"][i], gt_p=arrays["gt_p"][i],
-                              gt_q=arrays["gt_q"][i], gt_h=arrays["gt_h"][i],
-                              visibility=arrays["visibility"][i] > 0.5,
-                              domain=meta["domain"], occlusion=meta["occlusion"],
-                              is_background=meta["is_background"], cam=cam))
+    for key, axes in _FIELDS.items():
+        path, shape = files[key]
+        if not (isinstance(shape, list) and len(shape) == len(axes)
+                and all(type(size) is int and size >= 1 for size in shape)):
+            raise DataInvariantError(f"field {key!r}: shape {shape!r} is not {len(axes)} "
+                                     f"positive integers ({', '.join(axes)})")
+        want = [int(a) if a.isdigit() else dims.setdefault(a, size)
+                for a, size in zip(axes, shape)]
+        if shape != want:
+            raise DataInvariantError(f"field {key!r} has shape {shape}, expected {want} "
+                                     f"({', '.join(axes)}; the manifest lists "
+                                     f"{dims['N']} samples)")
+        blob = np.fromfile(path, dtype="<f4")
+        if blob.size != np.prod(shape):
+            raise DataInvariantError(f"field {key!r}: {path} holds {blob.size} floats, "
+                                     f"shape {shape} needs {np.prod(shape)}")
+        arrays[key] = blob.reshape(shape).astype(np.float64)
+    vis = arrays["visibility"] > 0.5
     if validate:
-        validate_samples(samples)
-    return samples
+        validate_arrays(arrays["obs"], arrays["gt_p"], arrays["gt_q"], arrays["gt_h"], vis)
+    return [Sample(obs=arrays["obs"][i], gt_p=arrays["gt_p"][i], gt_q=arrays["gt_q"][i],
+                   gt_h=arrays["gt_h"][i], visibility=vis[i], domain=domain,
+                   occlusion=occlusion, is_background=is_background, cam=cam)
+            for i, (domain, occlusion, is_background, cam) in enumerate(meta)]
+
+
+_INVARIANTS = ("heatmap slices are not PDFs", "negative heatmap mass",
+               "in-view joint outside the frame", "non-finite values")
+
+
+def validate_arrays(obs, gt_p, gt_q, gt_h, visibility):
+    """Check the declared invariants of a stack of N samples: (N, R, R)
+    images, (N, J, 3) and (N, J, 2) poses, (N, J, H, W) heatmaps and
+    (N, J) bool visibility. Each invariant is one whole-array check; the
+    first failing sample raises ``DataInvariantError`` naming the first
+    invariant it breaks, in ``_INVARIANTS`` order. float32 storage loosens
+    the PDF tolerance slightly."""
+    sums = gt_h.reshape(gt_h.shape[:2] + (-1,)).sum(axis=-1)
+    in_frame = np.all((gt_q >= -1e-6) & (gt_q <= 1 + 1e-6), axis=-1)
+    failed = np.stack([  # (invariant, sample)
+        ~np.isclose(sums, 1.0, atol=1e-4).all(axis=1),
+        (gt_h < 0).any(axis=(1, 2, 3)),
+        (visibility & ~in_frame).any(axis=1),
+        ~(np.isfinite(gt_p).all(axis=(1, 2)) & np.isfinite(obs).all(axis=(1, 2)))])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        raise DataInvariantError(f"sample {i}: {_INVARIANTS[int(failed[:, i].argmax())]}")
 
 
 def validate_samples(samples):
-    """Check the declared invariants of loaded samples; float32 storage
-    loosens the PDF tolerance slightly."""
-    for i, s in enumerate(samples):
-        sums = s.gt_h.reshape(s.gt_h.shape[0], -1).sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-4):
-            raise DataInvariantError(f"sample {i}: heatmap slices are not PDFs")
-        if np.any(s.gt_h < 0):
-            raise DataInvariantError(f"sample {i}: negative heatmap mass")
-        in_frame = np.all((s.gt_q >= -1e-6) & (s.gt_q <= 1 + 1e-6), axis=-1)
-        if np.any(s.visibility & ~in_frame):
-            raise DataInvariantError(f"sample {i}: in-view joint outside the frame")
-        if not np.isfinite(s.gt_p).all() or not np.isfinite(s.obs).all():
-            raise DataInvariantError(f"sample {i}: non-finite values")
+    """``validate_arrays`` on the stacked fields of ``samples``."""
+    if samples:
+        validate_arrays(*(np.stack([getattr(s, key) for s in samples]) for key in _FIELDS))

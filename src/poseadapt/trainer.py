@@ -20,6 +20,7 @@ from .autodiff import Tensor
 from .model import FusionNet, PoseNet
 from .optim import Adam
 from .skeleton import mpjpe, pa_mpjpe
+from .synthdata import check_field_types
 from .uncertainty import (joint_uncertainty, pose_uncertainty,
                           pose_uncertainty_np, predict,
                           select_joint_pseudo_labels, select_pose_pseudo_labels)
@@ -57,18 +58,20 @@ class HyperParams:
     entropy_head_only: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lam1", "lam2", "lam", "alpha_p", "alpha_q", "alpha_h",
                      "m_u", "m_h", "m_l", "lr"):
             if getattr(self, name) < 0:
                 raise ValueError(f"HyperParams.{name} must be nonnegative")
         if self.k_interval < 1 or self.max_iter < 0:
             raise ValueError("HyperParams: k_interval >= 1 and max_iter >= 0 required")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if self.batch_size < 1:
             raise ValueError("HyperParams.batch_size must be an integer >= 1")
         if not 0 < self.sigma < math.inf:  # the width of every ground-truth heatmap
             raise ValueError("HyperParams.sigma must be positive and finite")
         if not (isinstance(self.lr_overrides, dict) and all(
-                isinstance(k, str) and isinstance(v, (int, float)) and 0 <= v < math.inf
+                isinstance(k, str) and isinstance(v, (int, float))
+                and not isinstance(v, bool) and 0 <= v < math.inf
                 for k, v in self.lr_overrides.items())):
             raise ValueError("HyperParams.lr_overrides must map loss names to "
                              "finite nonnegative learning rates")

@@ -117,6 +117,8 @@ BAD_CONFIGS = [
     ([{"seed": 0}], "ExperimentConfig", "list"),
     ({"hyper": None}, "HyperParams", "NoneType"),
     ({"occlusion_mix": 1.5}, "ExperimentConfig", "occlusion_mix"),
+    ({"seed": "x"}, "ExperimentConfig", "seed"),
+    ({"n_source": 8.5}, "ExperimentConfig", "n_source"),
 ]
 
 
@@ -193,6 +195,59 @@ def test_corrupt_dataset_exits_4(tmp_path, capsys):
     assert rc == EXIT_BAD_DATA
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == EXIT_BAD_DATA
+
+
+def evaluate_edited_data(tmp_path, capsys, edit):
+    """``evaluate --data`` on a generated dataset directory after ``edit``
+    changed it; returns the exit code and the JSON error."""
+    cfgp = tiny_config(tmp_path)
+    data = tmp_path / "data"
+    assert main(["generate-data", "--config", cfgp, "--out", str(data)]) == 0
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    capsys.readouterr()
+    edit(data)
+    rc = main(["evaluate", "--config", cfgp, "--model", prefix, "--data", str(data),
+               "--out", str(tmp_path / "ev")])
+    return rc, json.loads(capsys.readouterr().err)
+
+
+def test_truncated_dataset_field_exits_4(tmp_path, capsys):
+    def truncate(data):
+        blob = data / "source.gt_h.f32"
+        blob.write_bytes(blob.read_bytes()[:-40])
+
+    rc, err = evaluate_edited_data(tmp_path, capsys, truncate)
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "dataset source" in err["error"] and "'gt_h'" in err["error"]
+    assert "holds 69622 floats" in err["error"]
+
+
+def test_missing_dataset_field_file_exits_3(tmp_path, capsys):
+    rc, err = evaluate_edited_data(
+        tmp_path, capsys, lambda data: os.remove(data / "target_eval.obs.f32"))
+    assert rc == err["code"] == EXIT_MISSING_FILES
+    assert "cannot read dataset file" in err["error"]
+    assert "target_eval.obs.f32" in err["error"]
+
+
+def test_unparseable_dataset_manifest_exits_4(tmp_path, capsys):
+    rc, err = evaluate_edited_data(
+        tmp_path, capsys, lambda data: (data / "source.json").write_text("{"))
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "dataset source: bad manifest" in err["error"]
+
+
+def test_dataset_manifest_with_an_extra_sample_exits_4(tmp_path, capsys):
+    def add_sample(data):
+        doc = json.loads((data / "target.json").read_text())
+        doc["samples"].append(doc["samples"][0])
+        (data / "target.json").write_text(json.dumps(doc))
+
+    rc, err = evaluate_edited_data(tmp_path, capsys, add_sample)
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "dataset target" in err["error"] and "'obs'" in err["error"]
+    assert "the manifest lists 17 samples" in err["error"]
 
 
 def test_nonfinite_loss_exits_5(tmp_path, capsys, monkeypatch):
@@ -290,7 +345,8 @@ def run_edited(tmp_path, capsys, section, key, value, command="train"):
 
 @pytest.mark.parametrize("key, value", [
     ("noise_level", -0.1), ("bg_amplitude", -0.5), ("cone_angle", -0.2),
-    ("blob_sigma_px", 0.0), ("blob_amp_range", [0.9, 0.3])])
+    ("blob_sigma_px", 0.0), ("blob_amp_range", [0.9, 0.3]), ("noise_level", "x"),
+    ("euler_range", [[0, 1]] * 2), ("scale_range", 0.3), ("appearance_seed", 1.5)])
 def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
     rc, err = run_edited(tmp_path, capsys, "target", key, value, "generate-data")
     assert rc == err["code"] == EXIT_BAD_CONFIG
@@ -301,7 +357,9 @@ def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("batch_size", 2.5), ("sigma", 0.0), ("sigma", -1.0),
     ("lr_overrides", [1]), ("lr_overrides", {"sup": "x"}),
-    ("lr_overrides", {"sup": -1e-3}), ("lr_overrides", {"sup": float("inf")})])
+    ("lr_overrides", {"sup": -1e-3}), ("lr_overrides", {"sup": float("inf")}),
+    ("lam1", "x"), ("max_iter", 2.5), ("k_interval", "x"), ("entropy_head_only", 1),
+    ("lr_overrides", {"sup": True})])
 def test_bad_hyperparams_exit_2(tmp_path, capsys, key, value):
     rc, err = run_edited(tmp_path, capsys, "hyper", key, value)
     assert rc == err["code"] == EXIT_BAD_CONFIG
@@ -310,7 +368,8 @@ def test_bad_hyperparams_exit_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("heatmap_size", 0), ("image_size", 0), ("trunk_width", 0),
-    ("trunk_blocks", -1), ("fusion_width", 0), ("encoder_widths", [64, 0])])
+    ("trunk_blocks", -1), ("fusion_width", 0), ("encoder_widths", [64, 0]),
+    ("trunk_blocks", True), ("encoder_widths", [64, True])])
 def test_bad_model_config_exits_2(tmp_path, capsys, key, value):
     rc, err = run_edited(tmp_path, capsys, "model", key, value)
     assert rc == err["code"] == EXIT_BAD_CONFIG

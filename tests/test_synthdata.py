@@ -231,6 +231,50 @@ def test_validate_rejects_corrupt_heatmaps():
         validate_samples(ds)
 
 
+def _not_a_pdf(s):
+    s.gt_h[0] *= 2.0
+
+
+def _negative_mass(s):  # the slice still sums to one
+    s.gt_h[0, 0, 1] += s.gt_h[0, 0, 0] + 0.1
+    s.gt_h[0, 0, 0] = -0.1
+
+
+def _in_view_outside(s):
+    s.gt_q[0] = (1.5, 0.5)
+    s.visibility[0] = True
+
+
+def _non_finite(s):
+    s.obs[0, 0] = np.nan
+
+
+def _negated_heatmap(s):  # not a PDF and negative
+    s.gt_h[0] *= -1.0
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(3, _not_a_pdf)], "sample 3: heatmap slices are not PDFs"),
+    ([(2, _negative_mass)], "sample 2: negative heatmap mass"),
+    ([(4, _in_view_outside)], "sample 4: in-view joint outside the frame"),
+    ([(1, _non_finite)], "sample 1: non-finite values"),
+    ([(2, _negated_heatmap)], "sample 2: heatmap slices are not PDFs"),
+    ([(3, _non_finite), (3, _in_view_outside)], "sample 3: in-view joint outside the frame"),
+    ([(4, _not_a_pdf), (1, _non_finite)], "sample 1: non-finite values"),
+], ids=["pdf", "negative", "frame", "finite", "pdf-and-negative", "frame-and-finite",
+        "first-sample-wins"])
+def test_validation_names_first_failing_sample_and_check(tmp_path, edits, message):
+    ds = build_dataset(SPEC, 5, 0.0, np.random.default_rng(13), TREE)
+    for i, edit in edits:
+        edit(ds[i])
+    with pytest.raises(DataInvariantError, match=f"^{message}$"):
+        validate_samples(ds)
+    save_dataset(ds, str(tmp_path), "toy")
+    with pytest.raises(DataInvariantError, match=f"^{message}$"):
+        load_dataset(str(tmp_path), "toy")
+    assert len(load_dataset(str(tmp_path), "toy", validate=False)) == 5
+
+
 def test_load_rejects_corrupt_blob(tmp_path):
     ds = build_dataset(SPEC, 3, 0.0, np.random.default_rng(14), TREE)
     save_dataset(ds, str(tmp_path), "toy")
