@@ -4,8 +4,7 @@ procedural toy image domains."""
 
 from .autodiff import Tensor, Parameter, backward, gradient_check
 from .config import ExperimentConfig, generate_splits
-from .heatmap import (entropy, joint_confidence, render_gaussian_heatmap,
-                      soft_argmax, spatial_softmax)
+from .heatmap import entropy, render_gaussian_heatmap
 from .model import FusionNet, ModelConfig, PoseNet
 from .optim import Adam
 from .skeleton import (CameraParams, KinematicTree, canonicalize,

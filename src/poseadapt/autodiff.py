@@ -37,29 +37,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
 
-    # operator sugar; non-Tensor operands are treated as constants
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -80,10 +57,6 @@ class Parameter(Tensor):
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class ComputationRecord:
@@ -223,17 +196,6 @@ def getitem(a, idx):
         return (ga,)
 
     return Tensor(a.data[idx], (a,), vjp)
-
-
-def concat(tensors, axis=0):
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), vjp)
 
 
 def stack(tensors, axis=0):

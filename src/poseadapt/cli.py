@@ -3,9 +3,10 @@ modes plus the ablation baselines, evaluation, uncertainty histograms and
 a gradient self-check.
 
 Errors are reported as one JSON object on stderr. Exit codes: 2 invalid
-configuration, 3 missing input files, 4 dataset or checkpoint invariant
-violation, 5 a training loss term became non-finite (no step was taken
-with it).
+configuration or argument, 3 missing input files or an output directory
+that cannot be written, 4 dataset or checkpoint invariant violation
+(including a dataset whose geometry is not the model's), 5 a training
+loss term became non-finite (no step was taken with it).
 All outputs under --out are content-deterministic for a fixed config and
 seed; wall-clock timestamps go only to the sidecar run.log.
 """
@@ -72,8 +73,12 @@ def _load_config(path, seed=None):
 
 
 def _prepare_out(out_dir, cfg):
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.save(os.path.join(out_dir, "config.json"))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        cfg.save(os.path.join(out_dir, "config.json"))
+    except OSError as e:  # a file in the way, or no permission
+        _fail(EXIT_MISSING_FILES, f"cannot write output directory {out_dir}: "
+                                  f"{e.strerror or e}")
     return out_dir
 
 
@@ -83,15 +88,21 @@ def _log(out_dir, message):
         f.write(f"{stamp} {message}\n")
 
 
-def _splits(cfg, data_dir):
+TRAIN_SPLITS = ("source", "target", "background")
+
+
+def _splits(cfg, data_dir, model, train=False):
     """Datasets from --data if given (all six must exist), else
-    regenerated from the config."""
-    if data_dir is None:
-        return generate_splits(cfg)
-    names = ("source", "target", "background",
-             "source_eval", "target_eval", "background_eval")
+    regenerated from the config; each must fit ``model`` (see
+    ``_check_geometry``)."""
+    splits = generate_splits(cfg) if data_dir is None else _load_splits(data_dir)
+    _check_geometry(splits, model, train)
+    return splits
+
+
+def _load_splits(data_dir):
     splits = {}
-    for name in names:
+    for name in TRAIN_SPLITS + ("source_eval", "target_eval", "background_eval"):
         manifest = os.path.join(data_dir, f"{name}.json")
         if not os.path.exists(manifest):
             _fail(EXIT_MISSING_FILES, f"dataset file not found: {manifest}")
@@ -103,6 +114,23 @@ def _splits(cfg, data_dir):
         except DataInvariantError as e:
             _fail(EXIT_BAD_DATA, f"invalid dataset {name}: {e}")
     return splits
+
+
+def _check_geometry(splits, model, train):
+    """Exit 4 unless every split's image size and joint count, and with
+    ``train`` every training split's heatmap grid, are ``model``'s."""
+    c = model.config
+    for name, samples in splits.items():
+        if not samples:
+            continue
+        s = samples[0]  # the samples of a split share their shapes
+        checks = [("image size", s.obs.shape[-1], c.image_size),
+                  ("joint count", len(s.gt_p), model.tree.joint_count)]
+        if train and name in TRAIN_SPLITS:
+            checks.append(("heatmap grid", s.gt_h.shape[1:], (c.heatmap_size,) * 2))
+        for what, got, want in checks:
+            if got != want:
+                _fail(EXIT_BAD_DATA, f"dataset {name}: {what} {got}, the model's is {want}")
 
 
 def cmd_generate_data(args):
@@ -131,15 +159,18 @@ def cmd_train(args):
     cfg = _load_config(args.config, args.seed)
     out = _prepare_out(args.out, cfg)
     loop, terms = TRAIN_MODES[args.mode]
-    splits = _splits(cfg, args.data)
     rng = np.random.default_rng(cfg.seed)
+    if loop != "fusion":
+        model = PoseNet(cfg.model, rng=rng)
+    elif args.model:
+        model = _load_model(args.model)
+    else:
+        _fail(EXIT_MISSING_FILES, "fusion training needs --model")
+    splits = _splits(cfg, args.data, model, train=True)
     rows = []
     _log(out, f"train mode={args.mode} seed={cfg.seed} started")
 
     if loop == "fusion":
-        model = _load_model(args.model) if args.model else None
-        if model is None:
-            _fail(EXIT_MISSING_FILES, "fusion training needs --model")
         pseudo = select_pose_pseudo_labels(model, splits["target"],
                                            cfg.hyper.alpha_p, sigma=cfg.hyper.sigma)
         fusion = train_fusion(model, splits["source"], splits["target"],
@@ -158,11 +189,11 @@ def cmd_train(args):
         if loop == "pose":
             state = train_pose_level(splits["source"], splits["target"],
                                      splits["background"], cfg.hyper, rng,
-                                     enable=terms, eval_hook=eval_hook)
+                                     model=model, enable=terms, eval_hook=eval_hook)
         else:
             state = train_joint_level(splits["source"], splits["target"],
                                       splits["background"], cfg.hyper, rng,
-                                      eval_hook=eval_hook)
+                                      model=model, eval_hook=eval_hook)
         state.model.save(os.path.join(out, "model"))
         if state.pseudo is not None:
             with open(os.path.join(out, "pseudo_labels.json"), "w") as f:
@@ -181,7 +212,7 @@ def cmd_evaluate(args):
     cfg = _load_config(args.config, args.seed)
     out = _prepare_out(args.out, cfg)
     model = _load_model(args.model)
-    splits = _splits(cfg, args.data)
+    splits = _splits(cfg, args.data, model)
     fusion = None
     if args.fusion:
         _require_checkpoint(args.fusion)
@@ -198,10 +229,12 @@ def cmd_evaluate(args):
 
 
 def cmd_histogram(args):
+    if args.bins < 1:
+        _fail(EXIT_BAD_CONFIG, f"--bins must be at least 1, not {args.bins}")
     cfg = _load_config(args.config, args.seed)
     out = _prepare_out(args.out, cfg)
     model = _load_model(args.model)
-    splits = _splits(cfg, args.data)
+    splits = _splits(cfg, args.data, model)
     doc = histogram_groups(model, splits["source_eval"], splits["target_eval"],
                            splits["background_eval"], bins=args.bins)
     path = os.path.join(out, "histogram.json")

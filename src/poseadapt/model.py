@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .heatmap import cell_centers
-from .optim import copy_checkpoint, load_checkpoint, save_params
+from .optim import load_checkpoint, save_params
 from .skeleton import KinematicTree, default_tree
 from .synthdata import DataInvariantError, check_field_types
 
@@ -295,15 +295,10 @@ class FusionNet:
         """The parameters an optimizer steps: all but ``fuse_blend``."""
         return [p for name, p in self.params.items() if name != self.BLEND]
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
     def forward(self, pose_cam, q_loc, conf):
-        """Inputs may be Tensors or numpy and are constants: no gradient
-        flows back into them. Returns a (B, J, 3) Tensor."""
-        pose_cam, q_loc, conf = (np.asarray(a.data if isinstance(a, Tensor) else a,
-                                            dtype=np.float64) for a in (pose_cam, q_loc, conf))
+        """Numpy (B, J, 3), (B, J, 2) and (B, J) inputs, which are
+        constants: no gradient flows back into them. Returns a (B, J, 3)
+        Tensor."""
         b, j = pose_cam.shape[:2]
         x = Tensor(np.concatenate([pose_cam.reshape(b, 3 * j), q_loc.reshape(b, 2 * j),
                                    conf.reshape(b, j)], axis=1))
@@ -321,4 +316,8 @@ class FusionNet:
         save_params(sorted(self.params.values(), key=lambda p: p.name), path_prefix)
 
     def load_weights(self, path_prefix):
-        copy_checkpoint(self.params, path_prefix)
+        """Replace the parameters by views of a checkpoint that holds
+        exactly their names and shapes; on any other checkpoint raise
+        ``DataInvariantError`` and keep them."""
+        self.params = load_checkpoint(
+            path_prefix, {name: p.data.shape for name, p in self.params.items()})

@@ -130,12 +130,3 @@ def load_checkpoint(path_prefix, shapes):
                                      f"{list(shapes[name])}")
     return {name: loaded[name] for name in shapes}
 
-
-def copy_checkpoint(params, path_prefix):
-    """Overwrite the values of ``params`` (dict name -> Parameter) from a
-    checkpoint. The checkpoint must hold exactly these names with these
-    shapes; otherwise ``DataInvariantError`` is raised and nothing is
-    copied."""
-    loaded = load_checkpoint(path_prefix, {name: p.data.shape for name, p in params.items()})
-    for name, p in loaded.items():
-        params[name].data[...] = p.data

@@ -257,9 +257,8 @@ def mpjpe(pred, gt):
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    err = np.linalg.norm((pred - pred[..., :1, :]) - (gt - gt[..., :1, :]),
-                         axis=-1).mean(axis=-1)
-    return float(err) if err.ndim == 0 else err
+    return np.linalg.norm((pred - pred[..., :1, :]) - (gt - gt[..., :1, :]),
+                          axis=-1).mean(axis=-1)
 
 
 def procrustes_align(pred, gt):

@@ -472,8 +472,3 @@ def validate_arrays(obs, gt_p, gt_q, gt_h, visibility):
         i = int(failed.any(axis=0).argmax())
         raise DataInvariantError(f"sample {i}: {_INVARIANTS[int(failed[:, i].argmax())]}")
 
-
-def validate_samples(samples):
-    """``validate_arrays`` on the stacked fields of ``samples``."""
-    if samples:
-        validate_arrays(*(np.stack([getattr(s, key) for s in samples]) for key in _FIELDS))

@@ -520,14 +520,29 @@ METRIC_COLUMNS = (
 )
 
 
-def metrics_row(state, source, target, background, fusion=None):
-    """One MetricsLog row across the held-out splits."""
-    ev_s = evaluate(state.model, source)
-    ev_t = evaluate(state.model, target, fusion=fusion)
-    ev_b = evaluate(state.model, background)
+def _split_groups(model, source, target, background, fusion=None):
+    """The ``evaluate`` rows of the three held-out splits (``fusion``
+    only on the target) and their per-joint entropies grouped by true
+    in/out-view on source and target, all joints on backgrounds."""
+    ev_s = evaluate(model, source)
+    ev_t = evaluate(model, target, fusion=fusion)
+    ev_b = evaluate(model, background)
     vis_s = np.stack([s.visibility for s in source])
     vis_t = np.stack([s.visibility for s in target])
-    row = {
+    groups = {
+        "inV-S": ev_s["entropies"][vis_s], "outV-S": ev_s["entropies"][~vis_s],
+        "inV-T": ev_t["entropies"][vis_t], "outV-T": ev_t["entropies"][~vis_t],
+        "BG": ev_b["entropies"].reshape(-1),
+    }
+    return ev_s, ev_t, ev_b, groups
+
+
+def metrics_row(state, source, target, background, fusion=None):
+    """One MetricsLog row across the held-out splits."""
+    ev_s, ev_t, ev_b, groups = _split_groups(state.model, source, target, background,
+                                             fusion)
+    mean_h = {k: float(v.mean()) if v.size else float("nan") for k, v in groups.items()}
+    return {
         "iteration": state.iteration,
         "mpjpe_target": ev_t["mpjpe"],
         "pa_mpjpe_target": ev_t["pa_mpjpe"],
@@ -538,22 +553,17 @@ def metrics_row(state, source, target, background, fusion=None):
         "mean_u_source": ev_s["mean_u"],
         "mean_u_target": ev_t["mean_u"],
         "mean_u_background": ev_b["mean_u"],
-        "mean_h_inv_s": _masked_mean(ev_s["entropies"], vis_s),
-        "mean_h_outv_s": _masked_mean(ev_s["entropies"], ~vis_s),
-        "mean_h_inv_t": _masked_mean(ev_t["entropies"], vis_t),
-        "mean_h_outv_t": _masked_mean(ev_t["entropies"], ~vis_t),
-        "mean_h_bg": float(ev_b["entropies"].mean()),
+        "mean_h_inv_s": mean_h["inV-S"],
+        "mean_h_outv_s": mean_h["outV-S"],
+        "mean_h_inv_t": mean_h["inV-T"],
+        "mean_h_outv_t": mean_h["outV-T"],
+        "mean_h_bg": mean_h["BG"],
         "pseudo_count": 0 if state.pseudo is None else len(state.pseudo),
         "auroc_u_bg_vs_source": auroc(ev_b["u_scores"], ev_s["u_scores"]),
         "auroc_h_outv_vs_inv_target": (
-            auroc(ev_t["entropies"][~vis_t], ev_t["entropies"][vis_t])
-            if (~vis_t).any() and vis_t.any() else float("nan")),
+            auroc(groups["outV-T"], groups["inV-T"])
+            if groups["outV-T"].size and groups["inV-T"].size else float("nan")),
     }
-    return row
-
-
-def _masked_mean(values, mask):
-    return float(values[mask].mean()) if mask.any() else float("nan")
 
 
 def write_metrics_csv(rows, path):
@@ -575,18 +585,9 @@ def histogram_groups(model, source, target, background, bins=24):
     """Fig-style uncertainty histograms: per-joint entropies grouped by
     true in/out-view on source and target, all joints on backgrounds, plus
     pose-uncertainty per domain."""
-    ev_s = evaluate(model, source)
-    ev_t = evaluate(model, target)
-    ev_b = evaluate(model, background)
-    vis_s = np.stack([s.visibility for s in source])
-    vis_t = np.stack([s.visibility for s in target])
+    ev_s, ev_t, ev_b, groups = _split_groups(model, source, target, background)
     hmax = math.log(model.config.heatmap_size ** 2)
     edges = np.linspace(0.0, hmax, bins + 1)
-    groups = {
-        "inV-S": ev_s["entropies"][vis_s], "outV-S": ev_s["entropies"][~vis_s],
-        "inV-T": ev_t["entropies"][vis_t], "outV-T": ev_t["entropies"][~vis_t],
-        "BG": ev_b["entropies"].reshape(-1),
-    }
     doc = {"entropy": {"bin_edges": edges.tolist(), "counts": {
         k: np.histogram(v, bins=edges)[0].tolist() for k, v in groups.items()}}}
     u_edges = np.linspace(0.0, 1.0, bins + 1)

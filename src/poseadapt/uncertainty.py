@@ -50,8 +50,7 @@ def flip_consistency(q_loc, q_proj, q_loc_f, q_proj_f, tree):
     pose gives a float."""
     a = np.linalg.norm(q_proj - hm.flip_joint_ids(q_loc_f, tree), axis=-1).mean(axis=-1)
     b = np.linalg.norm(q_loc - hm.flip_joint_ids(q_proj_f, tree), axis=-1).mean(axis=-1)
-    err = a + b
-    return float(err) if err.ndim == 0 else err
+    return a + b
 
 
 def predict(model, samples, batch_size=64):

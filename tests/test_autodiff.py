@@ -56,7 +56,6 @@ OPS = [
     ("reshape", lambda a: ad.reshape(a, (2, 6)), [(3, 4)], False),
     ("transpose", lambda a: ad.transpose(a, (1, 0, 2)), [(2, 3, 4)], False),
     ("getitem", lambda a: ad.getitem(a, (slice(None), 1)), [(3, 4)], False),
-    ("concat", lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], False),
     ("stack", lambda a, b: ad.stack([a, b], axis=1), [(2, 3), (2, 3)], False),
     ("tsum_axis", lambda a: ad.tsum(a, axis=1), [(3, 4)], False),
     ("tmean_keep", lambda a: ad.tmean(a, axis=-1, keepdims=True), [(2, 5)], False),

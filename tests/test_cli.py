@@ -15,6 +15,7 @@ from poseadapt.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATA, EXIT_MISSING_FILES,
 from poseadapt.config import ExperimentConfig
 from poseadapt.model import FusionNet, ModelConfig, PoseNet
 from poseadapt.optim import save_params
+from poseadapt.skeleton import KinematicTree
 from poseadapt.synthdata import DomainSpec
 from poseadapt.trainer import HyperParams
 
@@ -69,6 +70,86 @@ def test_generate_train_evaluate_pipeline(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads((tmp_path / "hist" / "histogram.json").read_text())
     assert len(doc["entropy"]["bin_edges"]) == 9
+
+
+def model_edited_config(tmp_path, name, **model):
+    """The tiny config with ``model`` fields changed, saved as ``name``."""
+    with open(tiny_config(tmp_path)) as f:
+        doc = json.load(f)
+    doc["model"].update(model)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_train_builds_the_configured_model(tmp_path, capsys):
+    cfgp = model_edited_config(tmp_path, "small", image_size=24, encoder_widths=[32])
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfgp, "--mode", "baseline", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(cfgp) as f:
+        assert json.loads((out / "model.config.json").read_text()) == json.load(f)["model"]
+    assert PoseNet.load(str(out / "model")).params["enc0.w"].shape == (24 * 24, 32)
+
+
+SMALL_TREE = KinematicTree(names=("pelvis", "spine", "neck", "left_hip", "right_hip"),
+                           parent=np.array([0, 0, 1, 0, 0]),
+                           bone_length=np.array([1.0, 0.45, 0.25, 0.14, 0.14]),
+                           lr_swap=np.array([0, 1, 2, 4, 3]))
+
+
+def test_dataset_geometry_mismatch_exits_4(tmp_path, capsys):
+    cfgp = tiny_config(tmp_path)
+    tiny = ExperimentConfig.load(cfgp).model
+    m32, m24, m5 = (str(tmp_path / name) for name in ("m32", "m24", "m5"))
+    PoseNet(config=tiny).save(m32)
+    PoseNet(config=dataclasses.replace(tiny, image_size=24)).save(m24)
+    PoseNet(config=tiny, tree=SMALL_TREE).save(m5)
+    d24, d8 = str(tmp_path / "d24"), str(tmp_path / "d8")
+    assert main(["generate-data", "--out", d24, "--config",
+                 model_edited_config(tmp_path, "i24", image_size=24)]) == 0
+    assert main(["generate-data", "--out", d8, "--config",
+                 model_edited_config(tmp_path, "h8", heatmap_size=8)]) == 0
+    # only training reads the ground-truth heatmaps
+    assert main(["evaluate", "--model", m32, "--data", d8, "--config", cfgp,
+                 "--out", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    cases = [
+        (["evaluate", "--model", m24], "dataset source: image size 32, the model's is 24"),
+        (["histogram", "--model", m24], "dataset source: image size 32, the model's is 24"),
+        (["train", "--mode", "fusion", "--model", m24],
+         "dataset source: image size 32, the model's is 24"),
+        (["evaluate", "--model", m5], "dataset source: joint count 17, the model's is 5"),
+        (["evaluate", "--model", m32, "--data", d24],
+         "dataset source: image size 24, the model's is 32"),
+        (["train", "--data", d24], "dataset source: image size 24, the model's is 32"),
+        (["train", "--data", d8], "dataset source: heatmap grid (8, 8), the model's is (16, 16)"),
+    ]
+    for args, message in cases:
+        rc = main(args + ["--config", cfgp, "--out", str(tmp_path / "o")])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == err["code"] == EXIT_BAD_DATA, args
+        assert err["error"] == message, args
+
+
+@pytest.mark.parametrize("bins", ["-3", "0"])
+def test_histogram_without_bins_exits_2(tmp_path, capsys, bins):
+    rc = main(["histogram", "--model", str(tmp_path / "m"), "--bins", bins,
+               "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert err["error"] == f"--bins must be at least 1, not {bins}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["generate-data"], ["train"],
+                                     ["histogram", "--model", "m"]])
+def test_out_that_is_a_file_exits_3(tmp_path, capsys, command):
+    (tmp_path / "o").write_text("")
+    rc = main(command + ["--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_MISSING_FILES
+    assert err["error"].startswith(f"cannot write output directory {tmp_path / 'o'}")
 
 
 def test_all_train_modes_run(tmp_path, capsys):

@@ -12,8 +12,7 @@ from poseadapt.skeleton import default_tree, mpjpe
 from poseadapt.synthdata import (TRUNCATION_KEEP, DataInvariantError,
                                  DomainSpec, build_dataset, domain_appearance,
                                  flip_observation, load_dataset, mirror_pose3d,
-                                 render_observation, save_dataset,
-                                 validate_samples)
+                                 render_observation, save_dataset)
 
 TREE = default_tree()
 SPEC = DomainSpec(name="test", appearance_seed=7)
@@ -224,13 +223,6 @@ def test_dataset_files_are_byte_identical_across_rebuilds(tmp_path):
         assert a == b, fname
 
 
-def test_validate_rejects_corrupt_heatmaps():
-    ds = build_dataset(SPEC, 3, 0.0, np.random.default_rng(13), TREE)
-    ds[1].gt_h[0] *= 2.0  # no longer a PDF
-    with pytest.raises(DataInvariantError):
-        validate_samples(ds)
-
-
 def _not_a_pdf(s):
     s.gt_h[0] *= 2.0
 
@@ -267,8 +259,6 @@ def test_validation_names_first_failing_sample_and_check(tmp_path, edits, messag
     ds = build_dataset(SPEC, 5, 0.0, np.random.default_rng(13), TREE)
     for i, edit in edits:
         edit(ds[i])
-    with pytest.raises(DataInvariantError, match=f"^{message}$"):
-        validate_samples(ds)
     save_dataset(ds, str(tmp_path), "toy")
     with pytest.raises(DataInvariantError, match=f"^{message}$"):
         load_dataset(str(tmp_path), "toy")
