@@ -135,6 +135,11 @@ def _check_geometry(splits, model, train):
 
 def cmd_generate_data(args):
     cfg = _load_config(args.config, args.seed)
+    # a dataset file holds at least one sample; training accepts empty splits
+    for name in TRAIN_SPLITS:
+        if getattr(cfg, f"n_{name}") == 0:
+            _fail(EXIT_BAD_CONFIG, f"cannot write the empty {name} split: "
+                                   f"n_{name} is 0, generate-data needs at least 1")
     out = _prepare_out(args.out, cfg)
     splits = generate_splits(cfg)
     for name, samples in splits.items():

@@ -92,7 +92,10 @@ class DomainSpec:
 
 @dataclass
 class Sample:
-    """One toy observation with full ground truth."""
+    """One toy observation with full ground truth. ``obs`` and ``gt_h``
+    are float32 when loaded from disk (views of their field's stored
+    array), float64 when generated; every consumer converts them to
+    float64 where it does arithmetic. ``gt_p`` and ``gt_q`` are float64."""
 
     obs: np.ndarray          # (R, R) in [0, 1]
     gt_p: np.ndarray         # (J, 3) camera-space pose, pelvis at origin
@@ -409,10 +412,11 @@ def _camera(doc):
 
 def load_dataset(out_dir, name="dataset", validate=True):
     """Read the dataset ``name`` that ``save_dataset`` wrote to ``out_dir``
-    as a list of ``Sample``. A manifest that does not describe its field
-    files raises ``DataInvariantError``, as does, with ``validate``, a
-    sample that breaks an invariant (see ``validate_arrays``). A file
-    that cannot be read raises ``OSError``."""
+    as a list of ``Sample``, whose ``obs`` and ``gt_h`` are float32 views
+    of one array per field (see ``Sample``). A manifest that does not
+    describe its field files raises ``DataInvariantError``, as does, with
+    ``validate``, a sample that breaks an invariant (see
+    ``validate_arrays``). A file that cannot be read raises ``OSError``."""
     try:
         with open(os.path.join(out_dir, f"{name}.json")) as f:
             manifest = json.load(f)
@@ -440,13 +444,17 @@ def load_dataset(out_dir, name="dataset", validate=True):
         if blob.size != np.prod(shape):
             raise DataInvariantError(f"field {key!r}: {path} holds {blob.size} floats, "
                                      f"shape {shape} needs {np.prod(shape)}")
-        arrays[key] = blob.reshape(shape).astype(np.float64)
+        arrays[key] = blob.reshape(shape)
+    # images and heatmaps stay the stored float32 arrays; the poses, which
+    # evaluation does arithmetic on, become float64
+    obs, gt_h = arrays["obs"], arrays["gt_h"]
+    gt_p, gt_q = arrays["gt_p"].astype(np.float64), arrays["gt_q"].astype(np.float64)
     vis = arrays["visibility"] > 0.5
     if validate:
-        validate_arrays(arrays["obs"], arrays["gt_p"], arrays["gt_q"], arrays["gt_h"], vis)
-    return [Sample(obs=arrays["obs"][i], gt_p=arrays["gt_p"][i], gt_q=arrays["gt_q"][i],
-                   gt_h=arrays["gt_h"][i], visibility=vis[i], domain=domain,
-                   occlusion=occlusion, is_background=is_background, cam=cam)
+        validate_arrays(obs, gt_p, gt_q, gt_h, vis)
+    return [Sample(obs=obs[i], gt_p=gt_p[i], gt_q=gt_q[i], gt_h=gt_h[i],
+                   visibility=vis[i], domain=domain, occlusion=occlusion,
+                   is_background=is_background, cam=cam)
             for i, (domain, occlusion, is_background, cam) in enumerate(meta)]
 
 
@@ -459,9 +467,10 @@ def validate_arrays(obs, gt_p, gt_q, gt_h, visibility):
     images, (N, J, 3) and (N, J, 2) poses, (N, J, H, W) heatmaps and
     (N, J) bool visibility. Each invariant is one whole-array check; the
     first failing sample raises ``DataInvariantError`` naming the first
-    invariant it breaks, in ``_INVARIANTS`` order. float32 storage loosens
-    the PDF tolerance slightly."""
-    sums = gt_h.reshape(gt_h.shape[:2] + (-1,)).sum(axis=-1)
+    invariant it breaks, in ``_INVARIANTS`` order. ``obs`` and ``gt_h``
+    may be float32; the PDF sums accumulate in float64 either way, and
+    float32 storage loosens their tolerance slightly."""
+    sums = gt_h.reshape(gt_h.shape[:2] + (-1,)).sum(axis=-1, dtype=np.float64)
     in_frame = np.all((gt_q >= -1e-6) & (gt_q <= 1 + 1e-6), axis=-1)
     failed = np.stack([  # (invariant, sample)
         ~np.isclose(sums, 1.0, atol=1e-4).all(axis=1),

@@ -237,6 +237,22 @@ def test_zero_eval_split_exits_2(tmp_path, capsys):
     assert "n_eval" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("split", ["source", "target", "background"])
+def test_generate_data_with_an_empty_split_exits_2(tmp_path, capsys, split):
+    # a dataset file holds at least one sample; train accepts empty splits
+    cfgp = tiny_config(tmp_path)
+    with open(cfgp) as f:
+        doc = json.load(f)
+    doc[f"n_{split}"] = 0
+    with open(cfgp, "w") as f:
+        json.dump(doc, f)
+    rc = main(["generate-data", "--config", cfgp, "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert f"empty {split} split" in err["error"] and f"n_{split}" in err["error"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_validates_when_built_in_code():
     with pytest.raises(ValueError, match="n_eval"):
         ExperimentConfig(n_eval=-1)

@@ -223,6 +223,33 @@ def test_dataset_files_are_byte_identical_across_rebuilds(tmp_path):
         assert a == b, fname
 
 
+def test_loaded_images_and_heatmaps_keep_their_stored_float32(tmp_path):
+    ds = build(6, 0.5, 15)
+    save_dataset(ds, str(tmp_path), "toy")
+    loaded = load_dataset(str(tmp_path), "toy")
+    for key in ("obs", "gt_h"):
+        arrays = [getattr(s, key) for s in loaded]
+        assert all(a.dtype == np.float32 for a in arrays), key
+        # one buffer per field: views of the array read from its file
+        base = arrays[0].base
+        assert base is not None and base.nbytes == sum(a.nbytes for a in arrays), key
+        assert all(np.shares_memory(base, a) for a in arrays), key
+        for a, s in zip(arrays, ds):
+            np.testing.assert_array_equal(a, getattr(s, key).astype(np.float32))
+    for s in loaded:
+        assert s.gt_p.dtype == s.gt_q.dtype == np.float64
+        assert s.visibility.dtype == bool
+
+
+def test_saving_a_loaded_dataset_rewrites_its_files_byte_for_byte(tmp_path):
+    save_dataset(build(6, 0.5, 16), str(tmp_path / "a"), "toy")
+    save_dataset(load_dataset(str(tmp_path / "a"), "toy"), str(tmp_path / "b"), "toy")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name
+
+
 def _not_a_pdf(s):
     s.gt_h[0] *= 2.0
 

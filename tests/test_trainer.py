@@ -12,6 +12,7 @@ from poseadapt.heatmap import entropy
 from poseadapt.model import ModelConfig, PoseNet, heatmap_residual
 from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
+from poseadapt.synthdata import load_dataset, save_dataset
 from poseadapt.trainer import (HyperParams, JOINT_LEVEL_TERMS, METRIC_COLUMNS,
                                NonFiniteLossError, auroc, blend_weight,
                                histogram_groups,
@@ -514,6 +515,36 @@ def test_pruned_backward_gives_the_same_training(monkeypatch, loop):
     assert ("psup" if loop == "pose" else "ent_bg") in terms
     for k in w_full:
         np.testing.assert_array_equal(w_pruned[k], w_full[k])
+
+
+@pytest.mark.parametrize("loop", ["pose", "joint"])
+def test_training_on_loaded_float32_samples_is_bit_identical(tmp_path, loop):
+    # loaded datasets keep images and heatmaps at the stored float32
+    # precision; training on them equals training on float64 copies
+    cfg, splits = small_splits(seed=19, occ=0.7 if loop == "joint" else 0.0)
+    loaded, wide = {}, {}
+    for name in ("source", "target", "background"):
+        save_dataset(splits[name], str(tmp_path), name)
+        loaded[name] = load_dataset(str(tmp_path), name)
+        wide[name] = [dataclasses.replace(s, obs=s.obs.astype(np.float64),
+                                          gt_h=s.gt_h.astype(np.float64))
+                      for s in loaded[name]]
+    assert loaded["source"][0].obs.dtype == loaded["source"][0].gt_h.dtype == np.float32
+
+    def train(data):
+        model = PoseNet(config=small_cfg(), rng=np.random.default_rng(19))
+        fn = train_pose_level if loop == "pose" else train_joint_level
+        state = fn(data["source"], data["target"], data["background"],
+                   fast_hp(max_iter=3, k_interval=2, alpha_p=np.inf),
+                   np.random.default_rng(19), model=model)
+        return {k: p.data.copy() for k, p in model.params.items()}, state.loss_log
+
+    w32, log32 = train(loaded)
+    w64, log64 = train(wide)
+    assert log32 == log64
+    assert ("psup" if loop == "pose" else "sup_inv") in set().union(*log32)
+    for k in w64:
+        np.testing.assert_array_equal(w32[k], w64[k], err_msg=k)
 
 
 def test_nonfinite_loss_stops_before_the_step():

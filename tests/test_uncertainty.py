@@ -82,6 +82,18 @@ def test_predict_matches_forward():
     np.testing.assert_allclose(pred["conf"], out.conf, atol=1e-12)
 
 
+def test_predict_on_float32_observations_is_bit_identical():
+    # loaded datasets keep their images at the stored float32 precision
+    model = tiny_model(seed=6)
+    ds = build_dataset(SPEC, 5, 0.5, np.random.default_rng(7), TREE)
+    obs32 = np.stack([s.obs for s in ds]).astype(np.float32)
+    for obs in (obs32, obs32[:, :, ::-1]):  # also the strided mirror view
+        pred32 = predict(model, obs, batch_size=2)
+        pred64 = predict(model, obs.astype(np.float64), batch_size=2)
+        for key in pred64:
+            np.testing.assert_array_equal(pred32[key], pred64[key], err_msg=key)
+
+
 def brute_force_pose_selection(model, samples, alpha_p):
     """Oracle: recompute the selection one sample at a time from raw
     forwards, without the batched helper."""
