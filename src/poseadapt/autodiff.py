@@ -3,7 +3,9 @@
 A Tensor wraps a numpy array together with the links needed to replay the
 computation backwards. Gradients are accumulated into ``Tensor.grad`` of the
 leaves by ``backward``; calling ``backward`` twice without resetting grads
-adds the contributions (additive contract).
+adds the contributions (additive contract). ``add``, ``sub``, ``mul`` and
+``matmul`` also take plain arrays and numbers: constants, which are never
+recorded and never get a gradient.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ EPS_NORM = 1e-8
 
 class Tensor:
     """Node in a recorded computation. ``parents`` and ``_vjp`` are empty
-    for leaves (constants and parameters)."""
+    for leaves (parameters, and tensors made from plain data)."""
 
     __slots__ = ("data", "grad", "parents", "_vjp", "name")
 
@@ -145,39 +147,43 @@ def _unbroadcast(g, shape):
 # primitives
 
 
+def _binary(a, b, op, da, db):
+    """The node ``op(a, b)``; a non-Tensor operand is a float64 constant and
+    no parent, so its vjp (``da`` or ``db``, of ``(g, x, y)``) never runs."""
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    x = a.data if ta else np.asarray(a, dtype=np.float64)
+    y = b.data if tb else np.asarray(b, dtype=np.float64)
+    # bool-repeated tuples: a comprehension here costs as much as a batch-1 op
+    live = ((a, da),) * ta + ((b, db),) * tb
+    return Tensor(op(x, y), (a,) * ta + (b,) * tb,
+                  lambda g: tuple(_unbroadcast(d(g, x, y), t.shape) for t, d in live))
+
+
 def add(a, b):
-    return Tensor(a.data + b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b):
-    return Tensor(a.data - b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b):
-    return Tensor(a.data * b.data, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.shape),
-                             _unbroadcast(g * a.data, b.shape)))
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def scale(a, c):
-    c = float(c)
-    return Tensor(a.data * c, (a,), lambda g: (g * c,))
+    return mul(a, float(c))
 
 
 def matmul(a, b):
     """Matrix product of operands with at least two axes each; leading
     axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
+    if np.ndim(a) < 2 or np.ndim(b) < 2:
         raise ValueError(f"matmul needs operands of 2 or more axes, got "
-                         f"shapes {a.shape} and {b.shape}")
-
-    def vjp(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return Tensor(a.data @ b.data, (a, b), vjp)
+                         f"shapes {np.shape(a)} and {np.shape(b)}")
+    return _binary(a, b, np.matmul,
+                   lambda g, x, y: g @ np.swapaxes(y, -1, -2),
+                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
 
 
 def reshape(a, shape):
@@ -270,15 +276,15 @@ def softmax_rows(a):
     return Tensor(out, (a,), vjp)
 
 
-def unit_rows(a, eps=EPS_NORM):
-    """Normalize the last axis to unit norm with a floor of ``eps`` on the
-    divisor, so all-zero rows stay zero."""
+def unit_rows(a):
+    """Normalize the last axis to unit norm with a floor of ``EPS_NORM`` on
+    the divisor, so all-zero rows stay zero."""
     norm = np.linalg.norm(a.data, axis=-1, keepdims=True)
-    denom = np.maximum(norm, eps)
+    denom = np.maximum(norm, EPS_NORM)
     out = a.data / denom
 
     def vjp(g):
-        live = (norm > eps).astype(np.float64)
+        live = (norm > EPS_NORM).astype(np.float64)
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - live * dot * out) / denom,)
 

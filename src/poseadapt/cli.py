@@ -176,8 +176,10 @@ def cmd_train(args):
     _log(out, f"train mode={args.mode} seed={cfg.seed} started")
 
     if loop == "fusion":
-        pseudo = select_pose_pseudo_labels(model, splits["target"],
-                                           cfg.hyper.alpha_p, sigma=cfg.hyper.sigma)
+        # an empty target split leaves fusion to its source term
+        pseudo = (select_pose_pseudo_labels(model, splits["target"], cfg.hyper.alpha_p,
+                                            sigma=cfg.hyper.sigma)
+                  if splits["target"] else None)
         fusion = train_fusion(model, splits["source"], splits["target"],
                               pseudo, cfg.hyper, rng)
         fusion.save(os.path.join(out, "fusion"))
@@ -260,8 +262,7 @@ def cmd_gradcheck(args):
 
     def loss_fn():
         out = model.forward(obs)
-        return ad.add(ad.mse(out.heatmap, ad.Tensor(np.zeros(out.heatmap.shape))),
-                      ad.tmean(out.pose_cam))
+        return ad.add(ad.mse(out.heatmap, 0.0), ad.tmean(out.pose_cam))
 
     worst = ad.gradient_check(loss_fn, picked, rng)
     ok = worst < 1e-4

@@ -139,14 +139,14 @@ class PoseNet:
             p.zero_grad()
 
     def encode(self, obs):
-        x = Tensor(np.asarray(obs, dtype=np.float64).reshape(len(obs), -1))
+        x = obs.reshape(len(obs), -1)
         for i in range(len(self.config.encoder_widths)):
             x = ad.relu(_dense(self.params, f"enc{i}", x))
         return x
 
     def forward(self, obs):
         """Run the full two-head forward on a (B, R, R) observation batch."""
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)
         if obs.ndim == 2:
             obs = obs[None]
         c = self.config
@@ -157,7 +157,7 @@ class PoseNet:
         # localization head
         logits = ad.reshape(_dense(self.params, "loc_head", feat), (len(obs), j, hs * hs))
         heat_flat = ad.softmax_rows(logits)
-        q_loc = ad.matmul(heat_flat, Tensor(self._grid))
+        q_loc = ad.matmul(heat_flat, self._grid)
         conf = heat_flat.data.max(axis=-1)
         heatmap = ad.reshape(heat_flat, (len(obs), j, hs, hs))
 
@@ -166,13 +166,13 @@ class PoseNet:
         for i in range(c.trunk_blocks):
             trunk = residual_fc_block(self.params, f"trunk_res{i}", trunk)
         limbs_raw = ad.reshape(_dense(self.params, "limb_head", trunk), (len(obs), j, 3))
-        limbs = ad.mul(ad.unit_rows(limbs_raw), Tensor(self._nonroot))
-        scaled = ad.mul(limbs, Tensor(self._lengths))
-        pose_canon = ad.matmul(Tensor(self._ancestors), scaled)
+        limbs = ad.mul(ad.unit_rows(limbs_raw), self._nonroot)
+        scaled = ad.mul(limbs, self._lengths)
+        pose_canon = ad.matmul(self._ancestors, scaled)
 
         cam_raw = _dense(self.params, "cam_head", trunk)
         cam_angles = cam_raw[:, :3]
-        cam_scale = ad.add(ad.softplus(cam_raw[:, 3]), Tensor(SCALE_FLOOR))
+        cam_scale = ad.add(ad.softplus(cam_raw[:, 3]), SCALE_FLOOR)
         cam_trans = cam_raw[:, 4:6]
         rot = _euler_zyx_batch(cam_angles)
         pose_cam = ad.matmul(pose_canon, ad.transpose(rot, (0, 2, 1)))
@@ -300,8 +300,7 @@ class FusionNet:
         constants: no gradient flows back into them. Returns a (B, J, 3)
         Tensor."""
         b, j = pose_cam.shape[:2]
-        x = Tensor(np.concatenate([pose_cam.reshape(b, 3 * j), q_loc.reshape(b, 2 * j),
-                                   conf.reshape(b, j)], axis=1))
+        x = np.concatenate([pose_cam.reshape(b, -1), q_loc.reshape(b, -1), conf], axis=1)
         x = ad.relu(_dense(self.params, "fuse_in", x))
         for i in range(self.config.fusion_blocks):
             x = residual_fc_block(self.params, f"fuse_res{i}", x)
@@ -310,7 +309,7 @@ class FusionNet:
         # strided and broadcast updates of (B, J, 3) stacks are slower
         base = pose_cam + heatmap_residual(pose_cam, q_loc) @ (
             self.params[self.BLEND].data * np.eye(2, 3))
-        return ad.add(Tensor(base), ad.matmul(dz, Tensor(self._z)))
+        return ad.add(base, ad.matmul(dz, self._z))
 
     def save(self, path_prefix):
         save_params(sorted(self.params.values(), key=lambda p: p.name), path_prefix)

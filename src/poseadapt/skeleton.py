@@ -107,7 +107,12 @@ class KinematicTree:
         doc = json.loads(text)
         names = tuple(doc["names"])
         swap = np.arange(len(names))
-        for a, b in doc["lr_swap_pairs"]:
+        for pair in doc["lr_swap_pairs"]:
+            a, b = pair
+            if not all(isinstance(k, int) and not isinstance(k, bool)
+                       and 0 <= k < len(names) for k in (a, b)):
+                raise ValueError(f"lr_swap_pairs entry {pair!r} is not a pair of "
+                                 f"joint indices in [0, {len(names)})")
             swap[a], swap[b] = b, a
         return cls(names=names, parent=np.array(doc["parents"]),
                    bone_length=np.array(doc["bone_lengths"], dtype=np.float64),
@@ -165,13 +170,13 @@ def row_norm(a):
     return np.sqrt(row_dot(a, a))
 
 
-def normalize_limb_vectors(raw, root=0):
-    """Divide each row by max(norm, eps); zero the root row. Takes
-    (..., J, 3) stacks."""
+def normalize_limb_vectors(raw):
+    """Divide each row by max(norm, eps); zero the root row (index 0).
+    Takes (..., J, 3) stacks."""
     raw = np.asarray(raw, dtype=np.float64)
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     out = raw / np.maximum(norms, EPS)
-    out[..., root, :] = 0.0
+    out[..., 0, :] = 0.0
     return out
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .model import FusionNet, PoseNet, heatmap_residual
 from .optim import Adam
 from .skeleton import mpjpe, pa_mpjpe
@@ -94,27 +93,26 @@ class TrainState:
 
 def _per_joint_heat_mse(out, h_gt):
     b, j = out.heatmap.shape[:2]
-    d = ad.sub(ad.reshape(out.heatmap, (b, j, -1)),
-               Tensor(np.asarray(h_gt, dtype=np.float64).reshape(b, j, -1)))
+    d = ad.sub(ad.reshape(out.heatmap, (b, j, -1)), np.reshape(h_gt, (b, j, -1)))
     return ad.tmean(ad.mul(d, d), axis=-1)  # (B, J)
 
 
 def _per_joint_pose_mse(pose, p_gt):
-    d = ad.sub(pose, Tensor(p_gt))
+    d = ad.sub(pose, p_gt)
     return ad.tmean(ad.mul(d, d), axis=-1)  # (B, J)
 
 
 def _weighted_joints(per_joint, w):
     """Batch mean of the per-sample sums of ``w``-weighted (B, J) values;
     ``w`` is a constant."""
-    return ad.tmean(ad.tsum(ad.mul(per_joint, Tensor(w)), axis=-1))
+    return ad.tmean(ad.tsum(ad.mul(per_joint, w), axis=-1))
 
 
 def loss_sup_source(out, h_gt, p_gt, hp):
     """Heatmap MSE + lam1 * 3D-pose MSE + lam2 * pose-uncertainty,
     averaged over the batch."""
-    loss = ad.mse(out.heatmap, Tensor(np.asarray(h_gt, dtype=np.float64)))
-    loss = ad.add(loss, ad.scale(ad.mse(out.pose_cam, Tensor(p_gt)), hp.lam1))
+    loss = ad.mse(out.heatmap, h_gt)
+    loss = ad.add(loss, ad.scale(ad.mse(out.pose_cam, p_gt), hp.lam1))
     return ad.add(loss, ad.scale(ad.tmean(pose_uncertainty(out)), hp.lam2))
 
 
@@ -122,7 +120,7 @@ def loss_bg_uncertainty(out, hp):
     """Hinge surrogate for unbounded background-uncertainty maximization:
     minimize max(0, m_u - U)."""
     u = pose_uncertainty(out)
-    return ad.tmean(ad.relu(ad.sub(Tensor(hp.m_u), u)))
+    return ad.tmean(ad.relu(ad.sub(hp.m_u, u)))
 
 
 def loss_tgt_uncertainty(out):
@@ -164,12 +162,10 @@ def loss_sup_occlusion_aware(out, h_gt, p_gt, in_mask, out_mask, hp):
     a joint is flat (or sharp) enough."""
     per_joint = ad.add(_per_joint_heat_mse(out, h_gt),
                        ad.scale(_per_joint_pose_mse(out.pose_cam, p_gt), hp.lam1))
-    in_w = Tensor(np.asarray(in_mask, dtype=np.float64))
-    sup = ad.tsum(ad.mul(per_joint, in_w), axis=-1)
-    out_w = Tensor(np.asarray(out_mask, dtype=np.float64))
+    sup = ad.tsum(ad.mul(per_joint, in_mask), axis=-1)
     ent = joint_uncertainty(out)
-    flat = ad.mul(ad.relu(ad.sub(Tensor(hp.m_h), ent)), out_w)
-    sharp = ad.mul(ad.relu(ad.sub(ent, Tensor(hp.m_l))), in_w)
+    flat = ad.mul(ad.relu(ad.sub(hp.m_h, ent)), out_mask)
+    sharp = ad.mul(ad.relu(ad.sub(ent, hp.m_l)), in_mask)
     pen = ad.tsum(ad.add(flat, sharp), axis=-1)
     return ad.tmean(ad.add(sup, ad.scale(pen, hp.lam2)))
 
@@ -183,7 +179,7 @@ def loss_entropy_max(out, mask=None, *, margin):
     term supplies a small but perfectly persistent flattening gradient
     that per-loss Adam normalizes up to a full-size step, and every
     heatmap collapses to uniform no matter how small the term's weight."""
-    gap = ad.relu(ad.sub(Tensor(margin), joint_uncertainty(out)))
+    gap = ad.relu(ad.sub(margin, joint_uncertainty(out)))
     return ad.tmean(ad.tsum(gap, axis=-1)) if mask is None else _weighted_joints(gap, mask)
 
 
@@ -437,7 +433,7 @@ def train_fusion(model, source, target, pseudo, hp, rng, max_iter=None,
         if joint_level:
             return _weighted_joints(_per_joint_pose_mse(fused(out), p_gt),
                                     _stack(batch, "visibility"))
-        return ad.mse(fused(out), Tensor(p_gt))
+        return ad.mse(fused(out), p_gt)
 
     def psup(out, batch, pick):
         conf = out.conf * pseudo.in_mask[pick] if joint_level else out.conf

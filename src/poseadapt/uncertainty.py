@@ -39,7 +39,7 @@ def joint_uncertainty(out):
     zero mass contribute exactly zero."""
     b, j = out.heatmap.shape[:2]
     flat = ad.reshape(out.heatmap, (b, j, -1))
-    terms = ad.mul(flat, ad.log(ad.add(flat, ad.Tensor(1e-12))))
+    terms = ad.mul(flat, ad.log(ad.add(flat, 1e-12)))
     return ad.scale(ad.tsum(terms, axis=-1), -1.0)
 
 

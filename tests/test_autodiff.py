@@ -35,7 +35,7 @@ def check_op(build, shapes, seed, positive=False):
     weights = rng.standard_normal(build(*params).data.shape)
 
     def scalar_loss():
-        return ad.tsum(ad.mul(build(*params), Tensor(weights)))
+        return ad.tsum(ad.mul(build(*params), weights))
 
     loss = scalar_loss()
     ad.backward(loss)
@@ -43,6 +43,9 @@ def check_op(build, shapes, seed, positive=False):
         num = numeric_grad(lambda: float(scalar_loss().data), p.data)
         np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7)
 
+
+# a constant operand: a plain array, not a Tensor
+C34 = np.linspace(-1.5, 2.0, 12).reshape(3, 4)
 
 OPS = [
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)], False),
@@ -53,6 +56,15 @@ OPS = [
     ("scale", lambda a: ad.scale(a, -2.5), [(4, 2)], False),
     ("matmul", lambda a, b: ad.matmul(a, b), [(3, 4), (4, 5)], False),
     ("matmul_batched", lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)], False),
+    ("add_const_left", lambda a: ad.add(C34, a), [(3, 4)], False),
+    ("add_const_broadcast", lambda a: ad.add(C34, a), [(4,)], False),
+    ("sub_const_left", lambda a: ad.sub(C34, a), [(3, 4)], False),
+    ("sub_const_right_broadcast", lambda a: ad.sub(a, C34[:, :1]), [(2, 3, 4)], False),
+    ("mul_const_right", lambda a: ad.mul(a, C34), [(3, 4)], False),
+    ("mul_const_broadcast", lambda a: ad.mul(C34, a), [(3, 1)], False),
+    ("mul_number", lambda a: ad.mul(-2.5, a), [(3, 4)], False),
+    ("matmul_const_left", lambda b: ad.matmul(C34, b), [(4, 5)], False),
+    ("matmul_const_right_batched", lambda a: ad.matmul(a, C34), [(2, 5, 3)], False),
     ("reshape", lambda a: ad.reshape(a, (2, 6)), [(3, 4)], False),
     ("transpose", lambda a: ad.transpose(a, (1, 0, 2)), [(2, 3, 4)], False),
     ("getitem", lambda a: ad.getitem(a, (slice(None), 1)), [(3, 4)], False),
@@ -86,6 +98,20 @@ def test_matmul_rejects_one_dimensional_operands():
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
     with pytest.raises(ValueError, match="2 or more axes"):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ValueError, match=r"\(3,\)"):
+        ad.matmul(Tensor(np.ones((2, 3))), np.ones(3))
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.matmul])
+def test_constant_operands_are_not_recorded(op):
+    p = Parameter(np.ones((3, 3)))
+    const = np.full((3, 3), 2.0)
+    for node in (op(p, const), op(const, p)):
+        assert node.parents == (p,)
+        assert len(node._vjp(np.ones((3, 3)))) == 1
+    assert op(const, const).parents == ()
+    mask = np.eye(3, dtype=bool)  # constants of any dtype compute in float64
+    np.testing.assert_array_equal(op(p, mask).data, op(p, mask.astype(np.float64)).data)
 
 
 def test_backward_accumulates_additively():

@@ -181,6 +181,29 @@ def test_fusion_with_empty_source_split(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "fusion.bin"))
 
 
+def test_fusion_with_empty_target_split(tmp_path, capsys):
+    # no target samples: fusion trains on source alone, with no selection
+    cfgp = tiny_config(tmp_path)
+    with open(cfgp) as f:
+        doc = json.load(f)
+    doc["n_target"] = 0
+    with open(cfgp, "w") as f:
+        json.dump(doc, f)
+    model = str(tmp_path / "model")
+    PoseNet(config=ModelConfig(**doc["model"]),
+            rng=np.random.default_rng(0)).save(model)
+    out = str(tmp_path / "fus")
+    assert main(["train", "--config", cfgp, "--mode", "fusion",
+                 "--model", model, "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "fusion"
+    assert os.path.exists(os.path.join(out, "fusion.bin"))
+    with open(os.path.join(out, "metrics.csv")) as f:
+        header, values = f.read().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["pseudo_count"] == "0"
+    assert float(row["fused_mpjpe_target"]) > 0.0
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
@@ -510,6 +533,24 @@ def test_bad_model_config_in_checkpoint_exits_4(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert rc == err["code"] == EXIT_BAD_DATA
     assert "ModelConfig.heatmap_size" in err["error"]
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate"], ["histogram"], ["train", "--mode", "fusion"]])
+def test_out_of_range_swap_pair_in_checkpoint_exits_4(tmp_path, capsys, command):
+    cfgp = tiny_config(tmp_path)
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    with open(prefix + ".skeleton.json") as f:
+        doc = json.load(f)
+    doc["lr_swap_pairs"].append([0, 99])
+    with open(prefix + ".skeleton.json", "w") as f:
+        json.dump(doc, f)
+    rc = main(command + ["--config", cfgp, "--model", prefix,
+                         "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "lr_swap_pairs entry [0, 99]" in err["error"]
 
 
 def test_config_directory_exits_3(tmp_path, capsys):

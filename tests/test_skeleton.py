@@ -1,6 +1,9 @@
 """Kinematics oracles: naive path-sum forward kinematics, explicit Euler
 matrices, and a rotation-grid search cross-checking the Procrustes fit."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,14 @@ def test_tree_json_round_trip():
     np.testing.assert_array_equal(clone.parent, tree.parent)
     np.testing.assert_array_equal(clone.lr_swap, tree.lr_swap)
     np.testing.assert_allclose(clone.bone_length, tree.bone_length)
+
+
+@pytest.mark.parametrize("pair", [[0, 99], [-1, 2], [1.0, 2], [True, 2]])
+def test_tree_json_rejects_swap_pairs_that_are_not_joint_indices(pair):
+    doc = json.loads(default_tree().to_json())
+    doc["lr_swap_pairs"].append(pair)
+    with pytest.raises(ValueError, match=re.escape(repr(pair))):
+        KinematicTree.from_json(json.dumps(doc))
 
 
 def test_tree_validation_rejects_bad_input():

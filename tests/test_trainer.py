@@ -1,11 +1,14 @@
 """Loss terms, optimizers, AUROC, metrics logging, and short training runs."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from poseadapt import autodiff as ad
+from poseadapt import trainer
 from poseadapt.autodiff import Parameter, Tensor
 from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.heatmap import entropy
@@ -14,6 +17,7 @@ from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import load_dataset, save_dataset
 from poseadapt.trainer import (HyperParams, JOINT_LEVEL_TERMS, METRIC_COLUMNS,
+                               POSE_LEVEL_TERMS,
                                NonFiniteLossError, auroc, blend_weight,
                                histogram_groups,
                                loss_bg_uncertainty, loss_entropy_max,
@@ -545,6 +549,70 @@ def test_training_on_loaded_float32_samples_is_bit_identical(tmp_path, loop):
     assert ("psup" if loop == "pose" else "sup_inv") in set().union(*log32)
     for k in w64:
         np.testing.assert_array_equal(w32[k], w64[k], err_msg=k)
+
+
+def test_every_leaf_of_a_training_loss_is_a_parameter(monkeypatch):
+    # observations, targets, masks, margins, the model's grids and the
+    # fusion inputs enter each loss as plain arrays, not as graph nodes
+    leaves = {}
+    update = trainer._update
+
+    def spy(opts, term, loss):
+        leaves[term] = [n for n in ad.ComputationRecord.trace(loss).nodes if not n.parents]
+        return update(opts, term, loss)
+
+    monkeypatch.setattr(trainer, "_update", spy)
+    hp = fast_hp(max_iter=1, alpha_p=np.inf, alpha_q=5.2, alpha_h=6.0)
+    runs = [(train_pose_level, 0.0, POSE_LEVEL_TERMS),
+            (train_joint_level, 0.7, JOINT_LEVEL_TERMS),
+            (train_joint_level, 0.7, ("ent_outv_s",))]
+    for fn, occ, enable in runs:
+        cfg, splits = small_splits(seed=13, occ=occ)
+        state = fn(splits["source"], splits["target"], splits["background"], hp,
+                   np.random.default_rng(13), enable=enable,
+                   model=PoseNet(config=small_cfg(), rng=np.random.default_rng(13)))
+        train_fusion(state.model, splits["source"], splits["target"], state.pseudo, hp,
+                     np.random.default_rng(13), max_iter=1,
+                     joint_level=fn is train_joint_level)
+    assert set(leaves) == {*POSE_LEVEL_TERMS, *JOINT_LEVEL_TERMS, "fusion_sup",
+                           "fusion_psup"}
+    for term, nodes in leaves.items():
+        assert nodes and all(isinstance(n, Parameter) for n in nodes), term
+
+
+# SHA-256 over the weights, loss logs and metrics rows of a few iterations of
+# pose-level, occluded joint-level and fusion training on a small model;
+# recorded before the autodiff ops took constant operands as plain arrays
+GOLDEN_TRAIN_DIGEST = "6a045e20bedb1c4802915306f3c9918b2d0b56b69615f3bd2e0089ffeb183712"
+
+
+def test_training_matches_the_recorded_digest():
+    h = hashlib.sha256()
+
+    def update(params, log, row):
+        for name in sorted(params):
+            h.update(name.encode())
+            h.update(params[name].data.tobytes())
+        # repr of a float is exact, so JSON text pins every bit
+        h.update(json.dumps([log, row], sort_keys=True).encode())
+
+    runs = [(train_pose_level, 0.0, dict(alpha_p=np.inf), {"sup", "bg", "tgt", "psup"}),
+            (train_joint_level, 0.7, dict(alpha_q=5.2, alpha_h=6.0),
+             {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"})]
+    for fn, occ, select, terms in runs:
+        cfg, splits = small_splits(seed=13, occ=occ)
+        evals = splits["source_eval"], splits["target_eval"], splits["background_eval"]
+        rng = np.random.default_rng(13)
+        state = fn(splits["source"], splits["target"], splits["background"],
+                   fast_hp(max_iter=4, k_interval=2, **select), rng,
+                   model=PoseNet(config=small_cfg(), rng=np.random.default_rng(13)))
+        assert set().union(*state.loss_log) == terms
+        update(state.model.params, state.loss_log, metrics_row(state, *evals))
+        fusion = train_fusion(state.model, splits["source"], splits["target"],
+                              state.pseudo, fast_hp(), rng, max_iter=4,
+                              joint_level=fn is train_joint_level)
+        update(fusion.params, [], metrics_row(state, *evals, fusion=fusion))
+    assert h.hexdigest() == GOLDEN_TRAIN_DIGEST
 
 
 def test_nonfinite_loss_stops_before_the_step():
