@@ -6,6 +6,14 @@ leaves by ``backward``; calling ``backward`` twice without resetting grads
 adds the contributions (additive contract). ``add``, ``sub``, ``mul`` and
 ``matmul`` also take plain arrays and numbers: constants, which are never
 recorded and never get a gradient.
+
+Recording contract: outside ``no_grad`` every op returns a node whose
+``parents`` are its Tensor operands and whose vjp replays it. Inside
+``no_grad`` every op computes the same float64 array and returns it as a
+parentless Tensor with no vjp, so nothing is kept for a backward pass that
+will not come; ``backward`` treats such a result as a leaf. Which mode an
+op runs in is decided when it is called, by one process-wide flag that
+only ``no_grad`` sets.
 """
 
 from __future__ import annotations
@@ -14,10 +22,13 @@ import numpy as np
 
 EPS_NORM = 1e-8
 
+_recording = True  # False inside no_grad
+
 
 class Tensor:
     """Node in a recorded computation. ``parents`` and ``_vjp`` are empty
-    for leaves (parameters, and tensors made from plain data)."""
+    for leaves (parameters, tensors made from plain data, and op results
+    under ``no_grad``)."""
 
     __slots__ = ("data", "grad", "parents", "_vjp", "name")
 
@@ -59,6 +70,42 @@ class Parameter(Tensor):
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+
+# aliases for ``_node``: looking the two attributes up on every op result
+# made a batch-1 forward (about 80 ops) measurably slower
+_new_tensor = object.__new__
+_ndarray = np.ndarray
+
+
+def _node(out, parents=(), vjp=None):
+    """The Tensor of an op's result, built without ``Tensor.__init__``: the
+    op computed a float64 array from float64 data, or a numpy scalar (a
+    full reduction, or an op on 0-d operands), which becomes a 0-d array.
+    Without ``parents`` it is an unrecorded result."""
+    t = _new_tensor(Tensor)
+    t.data = out if type(out) is _ndarray else np.asarray(out, dtype=np.float64)
+    t.grad = None
+    t.parents = parents
+    t._vjp = vjp
+    t.name = None
+    return t
+
+
+class no_grad:
+    """Context manager running the ops of its block without recording them
+    (see the module docstring). Nests, and restores the previous mode on
+    exit, also when the block raises."""
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self):
+        global _recording
+        self._saved, _recording = _recording, False
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._saved
 
 
 class ComputationRecord:
@@ -153,66 +200,111 @@ def _binary(a, b, op, da, db):
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
     x = a.data if ta else np.asarray(a, dtype=np.float64)
     y = b.data if tb else np.asarray(b, dtype=np.float64)
+    if not _recording:
+        return _node(op(x, y))
     # bool-repeated tuples: a comprehension here costs as much as a batch-1 op
     live = ((a, da),) * ta + ((b, db),) * tb
-    return Tensor(op(x, y), (a,) * ta + (b,) * tb,
-                  lambda g: tuple(_unbroadcast(d(g, x, y), t.shape) for t, d in live))
+    return _node(op(x, y), (a,) * ta + (b,) * tb,
+                 lambda g: tuple(_unbroadcast(d(g, x, y), t.shape) for t, d in live))
+
+
+# the operand vjps of the binary ops, of (g, x, y)
+def _g(g, x, y):
+    return g
+
+
+def _neg_g(g, x, y):
+    return -g
+
+
+def _g_times_y(g, x, y):
+    return g * y
+
+
+def _g_times_x(g, x, y):
+    return g * x
+
+
+def _g_matmul_yt(g, x, y):
+    return g @ np.swapaxes(y, -1, -2)
+
+
+def _xt_matmul_g(g, x, y):
+    return np.swapaxes(x, -1, -2) @ g
 
 
 def add(a, b):
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, np.add, _g, _g)
 
 
 def sub(a, b):
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, np.subtract, _g, _neg_g)
 
 
 def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, np.multiply, _g_times_y, _g_times_x)
 
 
 def scale(a, c):
     return mul(a, float(c))
 
 
+def _matmul(x, y):
+    if x.ndim < 2 or y.ndim < 2:
+        raise ValueError(f"matmul needs operands of 2 or more axes, got "
+                         f"shapes {x.shape} and {y.shape}")
+    return np.matmul(x, y)
+
+
 def matmul(a, b):
     """Matrix product of operands with at least two axes each; leading
     axes broadcast."""
-    if np.ndim(a) < 2 or np.ndim(b) < 2:
-        raise ValueError(f"matmul needs operands of 2 or more axes, got "
-                         f"shapes {np.shape(a)} and {np.shape(b)}")
-    return _binary(a, b, np.matmul,
-                   lambda g, x, y: g @ np.swapaxes(y, -1, -2),
-                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
+    return _binary(a, b, _matmul, _g_matmul_yt, _xt_matmul_g)
 
 
 def reshape(a, shape):
-    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    out = a.data.reshape(shape)
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes):
+    out = a.data.transpose(axes)
+    if not _recording:
+        return _node(out)
     inv = np.argsort(axes)
-    return Tensor(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return _node(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def getitem(a, idx):
+    out = a.data[idx]
+    if not _recording:
+        return _node(out)
+
     def vjp(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return Tensor(a.data[idx], (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def stack(tensors, axis=0):
+    out = np.stack([t.data for t in tensors], axis=axis)
+    if not _recording:
+        return _node(out)
+
     def vjp(g):
         return tuple(np.moveaxis(g, axis, 0))
 
-    return Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
+    return _node(out, tuple(tensors), vjp)
 
 
 def tsum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    if not _recording:
+        return _node(out)
 
     def vjp(g):
         if axis is None:
@@ -220,7 +312,7 @@ def tsum(a, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
-    return Tensor(out, (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -230,37 +322,55 @@ def tmean(a, axis=None, keepdims=False):
 
 def relu(a):
     mask = a.data > 0
-    return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
+    out = a.data * mask
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (g * mask,))
 
 
 def exp(a):
     out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,))
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a):
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
+    out = np.log(a.data)
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a):
     out = np.sqrt(a.data)
+    if not _recording:
+        return _node(out)
     # guard keeps the vjp finite at exactly zero; callers stay away from it
-    return Tensor(out, (a,), lambda g: (g * 0.5 / np.maximum(out, EPS_NORM),))
+    return _node(out, (a,), lambda g: (g * 0.5 / np.maximum(out, EPS_NORM),))
 
 
 def sin(a):
-    return Tensor(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+    out = np.sin(a.data)
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (g * np.cos(a.data),))
 
 
 def cos(a):
-    return Tensor(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
+    out = np.cos(a.data)
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (-g * np.sin(a.data),))
 
 
 def softplus(a):
     # stable softplus: log(1 + e^x) = max(x, 0) + log1p(e^-|x|)
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
+    if not _recording:
+        return _node(out)
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, (a,), lambda g: (g * sig,))
+    return _node(out, (a,), lambda g: (g * sig,))
 
 
 def softmax_rows(a):
@@ -268,12 +378,14 @@ def softmax_rows(a):
     out = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    if not _recording:
+        return _node(out)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return Tensor(out, (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def unit_rows(a):
@@ -282,13 +394,15 @@ def unit_rows(a):
     norm = np.linalg.norm(a.data, axis=-1, keepdims=True)
     denom = np.maximum(norm, EPS_NORM)
     out = a.data / denom
+    if not _recording:
+        return _node(out)
 
     def vjp(g):
         live = (norm > EPS_NORM).astype(np.float64)
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - live * dot * out) / denom,)
 
-    return Tensor(out, (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def dense(x, w, b):
@@ -328,10 +442,11 @@ def gradient_check(fn, tensors, rng, n_probe=6, step=1e-5):
         idxs = rng.choice(flat.size, size=k, replace=False)
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + step
-            hi = float(fn().data)
-            flat[i] = orig - step
-            lo = float(fn().data)
+            with no_grad():  # the probes are never differentiated
+                flat[i] = orig + step
+                hi = float(fn().data)
+                flat[i] = orig - step
+                lo = float(fn().data)
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * step)
             analytic = t.grad.reshape(-1)[i]

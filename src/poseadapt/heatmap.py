@@ -45,13 +45,15 @@ def joint_confidence(heat):
 
 def entropy(heat):
     """Self-entropy (natural log) of joint slices; 0*log(0) := 0.
-    A (..., J, H, W) stack gives (..., J) entropies."""
+    A (..., J, H, W) stack gives (..., J) entropies. A joint with a NaN or
+    negative cell is no PDF: its entropy is NaN."""
     heat = np.asarray(heat, dtype=np.float64)
     flat = heat.reshape(heat.shape[:-2] + (-1,))
+    # exact zeros give 0 * log(1e-300) = -0.0, NaN cells stay NaN
     terms = np.maximum(flat, 1e-300)
     np.log(terms, out=terms)
     terms *= flat
-    terms[~(flat > 0)] = 0.0
+    np.copyto(terms, np.nan, where=flat < 0)
     return -terms.sum(axis=-1)
 
 

@@ -46,6 +46,12 @@ class KinematicTree:
         if not (len(self.names) == len(self.parent) == len(self.bone_length)
                 == len(self.lr_swap) == j):
             raise ValueError("inconsistent per-joint array lengths")
+        for field_name in ("parent", "lr_swap"):
+            values = getattr(self, field_name)
+            bad = np.flatnonzero((values < 0) | (values >= j))
+            if bad.size:
+                raise ValueError(f"KinematicTree.{field_name}[{bad[0]}] = {values[bad[0]]} "
+                                 f"is not a joint index in [0, {j})")
         if self.parent[0] != 0:
             raise ValueError("root (index 0) must be its own parent")
         if np.any(self.bone_length[1:] <= 0):
@@ -108,11 +114,12 @@ class KinematicTree:
         names = tuple(doc["names"])
         swap = np.arange(len(names))
         for pair in doc["lr_swap_pairs"]:
-            a, b = pair
-            if not all(isinstance(k, int) and not isinstance(k, bool)
-                       and 0 <= k < len(names) for k in (a, b)):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(k, int) and not isinstance(k, bool)
+                    and 0 <= k < len(names) for k in pair)):
                 raise ValueError(f"lr_swap_pairs entry {pair!r} is not a pair of "
                                  f"joint indices in [0, {len(names)})")
+            a, b = pair
             swap[a], swap[b] = b, a
         return cls(names=names, parent=np.array(doc["parents"]),
                    bone_length=np.array(doc["bone_lengths"], dtype=np.float64),

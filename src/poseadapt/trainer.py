@@ -9,6 +9,7 @@ the table's order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -258,10 +259,15 @@ def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
     ``ids`` (indices into ``samples``), forwards it through ``state.model``
     and takes the step of ``opts[name]`` on ``loss(out, batch, pick)``,
     where ``pick`` holds the drawn ids; a term with no ids is skipped
-    before it draws. The ``{name: loss}`` dict of the iteration goes to
-    ``state.loss_log.append``, looked up every iteration, so an eval hook
-    may replace the log.
+    before it draws. When ``opts[name]`` steps none of the model's
+    parameters (fusion over a frozen model), nothing differentiates that
+    forward, so it runs under ``autodiff.no_grad``. The ``{name: loss}``
+    dict of the iteration goes to ``state.loss_log.append``, looked up
+    every iteration, so an eval hook may replace the log.
     """
+    own = {id(p) for p in state.model.parameters()}
+    frozen = {name for name, opt in opts.items()
+              if own.isdisjoint(id(p) for p in opt.params)}
     for it in range(iterations):
         state.iteration = it
         if it % hp.k_interval == 0:
@@ -275,7 +281,8 @@ def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
                 continue
             pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
             batch = [samples[i] for i in pick]
-            out = state.model.forward(_stack(batch, "obs"))
+            with ad.no_grad() if name in frozen else contextlib.nullcontext():
+                out = state.model.forward(_stack(batch, "obs"))
             losses[name] = _update(opts, name, loss(out, batch, pick))
         state.loss_log.append(losses)
     state.iteration = iterations
@@ -489,7 +496,8 @@ def evaluate(model, samples, fusion=None):
         vis = np.stack([s.visibility for s in samples])
         row.update(_pose_errors(pred["pose_cam"], gts, vis, prefix=""))
         if fusion is not None:
-            fused = fusion.forward(pred["pose_cam"], pred["q_loc"], pred["conf"]).data
+            with ad.no_grad():
+                fused = fusion.forward(pred["pose_cam"], pred["q_loc"], pred["conf"]).data
             row.update(_pose_errors(fused, gts, vis, prefix="fused_"))
     row["u_scores"] = u
     row["entropies"] = pred["entropy"]

@@ -55,11 +55,12 @@ def flip_consistency(q_loc, q_proj, q_loc_f, q_proj_f, tree):
 
 def predict(model, samples, batch_size=64):
     """Frozen forward over a sample list or an (N, R, R) observation
-    stack; plain numpy (N, ...) outputs."""
+    stack, run under ``autodiff.no_grad``; plain numpy (N, ...) outputs."""
     obs = samples if isinstance(samples, np.ndarray) else np.stack([s.obs for s in samples])
     q_loc, q_proj, pose_cam, conf, ent = [], [], [], [], []
     for lo in range(0, len(obs), batch_size):
-        out = model.forward(obs[lo:lo + batch_size])
+        with ad.no_grad():
+            out = model.forward(obs[lo:lo + batch_size])
         q_loc.append(out.q_loc.data)
         q_proj.append(out.q_proj.data)
         pose_cam.append(out.pose_cam.data)

@@ -93,6 +93,55 @@ def test_op_gradients_match_finite_differences(name, build, shapes, positive):
         check_op(build, shapes, seed, positive=positive)
 
 
+@pytest.mark.parametrize("name,build,shapes,positive",
+                         OPS, ids=[o[0] for o in OPS])
+def test_no_grad_ops_give_the_recorded_values_without_a_graph(name, build, shapes,
+                                                              positive):
+    rng = np.random.default_rng(3)
+    params = [Parameter(rng.uniform(0.2, 1.5, size=s) if positive else rng.standard_normal(s))
+              for s in shapes]
+    recorded = build(*params)
+    with ad.no_grad():
+        free = build(*params)
+    assert recorded.parents
+    assert free.parents == () and free._vjp is None and free.grad is None
+    assert type(free.data) is np.ndarray and free.data.dtype == np.float64
+    np.testing.assert_array_equal(free.data, recorded.data)
+
+
+def test_no_grad_full_reductions_are_zero_dimensional_arrays():
+    p = Parameter(np.arange(6.0).reshape(2, 3))
+    with ad.no_grad():
+        for out in (ad.tsum(p), ad.tmean(p), ad.mse(p, 1.0), ad.exp(ad.tsum(p))):
+            assert type(out.data) is np.ndarray and out.data.shape == ()
+
+
+def test_no_grad_nests_and_restores_the_previous_mode():
+    p = Parameter(np.ones(2))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.exp(p).parents == ()
+        assert ad.exp(p).parents == ()
+    assert ad.exp(p).parents == (p,)
+
+
+def test_no_grad_restores_recording_when_the_block_raises():
+    p = Parameter(np.ones(2))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.add(p, 1.0).parents == (p,)
+
+
+def test_unrecorded_result_is_a_leaf_of_a_recorded_graph():
+    p = Parameter(np.array([1.0, 2.0]))
+    with ad.no_grad():
+        frozen = ad.exp(p)
+    ad.backward(ad.tsum(ad.mul(p, frozen)))
+    np.testing.assert_array_equal(p.grad, np.exp([1.0, 2.0]))
+    np.testing.assert_array_equal(frozen.grad, [1.0, 2.0])
+
+
 def test_matmul_rejects_one_dimensional_operands():
     with pytest.raises(ValueError, match="2 or more axes"):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))

@@ -79,6 +79,22 @@ def test_entropy_matches_direct_sum():
     np.testing.assert_array_equal(entropy(stack), np.stack([entropy(h) for h in stack]))
 
 
+def test_entropy_of_a_heatmap_with_a_nan_or_negative_cell_is_nan():
+    uniform = np.full((1, 2, 4, 4), 1.0 / 16.0)
+    nan_cell = uniform.copy()
+    nan_cell[0, 0, 1, 1] = np.nan
+    negative = uniform.copy()
+    negative[0, 1, 2, 3] = -0.1
+    for broken, joint in ((nan_cell, 0), (negative, 1)):
+        h = entropy(broken)
+        assert np.isnan(h[0, joint])
+        assert h[0, 1 - joint] == entropy(uniform)[0, 1 - joint]
+    # exact zeros are valid mass: 0 * log(0) := 0
+    half = np.zeros((1, 4, 4))
+    half[0, :2] = 1.0 / 8.0
+    assert entropy(half)[0] == pytest.approx(np.log(8.0), abs=1e-12)
+
+
 def test_render_gaussian_heatmap_peaks_at_joint():
     q = np.array([[0.25, 0.75], [0.6, 0.4]])
     heat = render_gaussian_heatmap(q, 1.0, (16, 16))

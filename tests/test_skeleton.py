@@ -151,12 +151,23 @@ def test_tree_json_round_trip():
     np.testing.assert_allclose(clone.bone_length, tree.bone_length)
 
 
-@pytest.mark.parametrize("pair", [[0, 99], [-1, 2], [1.0, 2], [True, 2]])
+@pytest.mark.parametrize("pair", [[0, 99], [-1, 2], [1.0, 2], [True, 2], [1, 2, 3], [4],
+                                  4])
 def test_tree_json_rejects_swap_pairs_that_are_not_joint_indices(pair):
     doc = json.loads(default_tree().to_json())
     doc["lr_swap_pairs"].append(pair)
     with pytest.raises(ValueError, match=re.escape(repr(pair))):
         KinematicTree.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["parent", "lr_swap"])
+@pytest.mark.parametrize("value", [99, -1])
+def test_tree_validation_names_an_entry_that_is_not_a_joint_index(field, value):
+    tree = default_tree()
+    arrays = dict(parent=tree.parent.copy(), lr_swap=tree.lr_swap.copy())
+    arrays[field][4] = value
+    with pytest.raises(ValueError, match=re.escape(f"KinematicTree.{field}[4] = {value} ")):
+        KinematicTree(names=tree.names, bone_length=tree.bone_length, **arrays)
 
 
 def test_tree_validation_rejects_bad_input():

@@ -1,5 +1,6 @@
 """Loss terms, optimizers, AUROC, metrics logging, and short training runs."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ from poseadapt import trainer
 from poseadapt.autodiff import Parameter, Tensor
 from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.heatmap import entropy
-from poseadapt.model import ModelConfig, PoseNet, heatmap_residual
+from poseadapt.model import FusionNet, ModelConfig, PoseNet, heatmap_residual
 from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import load_dataset, save_dataset
@@ -23,7 +24,7 @@ from poseadapt.trainer import (HyperParams, JOINT_LEVEL_TERMS, METRIC_COLUMNS,
                                loss_bg_uncertainty, loss_entropy_max,
                                loss_entropy_min, loss_psup_target,
                                loss_sup_occlusion_aware, loss_sup_source,
-                               metrics_row, normalized_confidences,
+                               evaluate, metrics_row, normalized_confidences,
                                train_fusion, train_joint_level,
                                train_pose_level, write_metrics_csv)
 from poseadapt.uncertainty import (select_joint_pseudo_labels,
@@ -613,6 +614,93 @@ def test_training_matches_the_recorded_digest():
                               joint_level=fn is train_joint_level)
         update(fusion.params, [], metrics_row(state, *evals, fusion=fusion))
     assert h.hexdigest() == GOLDEN_TRAIN_DIGEST
+
+
+def _frozen_runs(splits):
+    """predict, evaluate with a live fusion net, and both selection
+    refreshes on one model: what runs under ``autodiff.no_grad``."""
+    model = PoseNet(config=small_cfg(), rng=np.random.default_rng(19))
+    fusion = FusionNet(tree=model.tree, config=model.config, rng=np.random.default_rng(20))
+    fusion.params[FusionNet.BLEND].data[...] = 0.5
+    fusion.params["fuse_out.w"].data[...] = np.random.default_rng(21).normal(
+        0.0, 0.1, fusion.params["fuse_out.w"].data.shape)
+    target = splits["target"]
+    # thresholds inside the score ranges, so every selection is non-empty
+    pose = select_pose_pseudo_labels(model, target, -np.inf).scores
+    joint = select_joint_pseudo_labels(model, target, -np.inf, np.inf).scores
+    return {"predict": trainer.predict(model, target, batch_size=5),
+            "evaluate": evaluate(model, splits["target_eval"], fusion=fusion),
+            "pose": select_pose_pseudo_labels(model, target, np.median(pose)).__dict__,
+            "joint": select_joint_pseudo_labels(model, target, np.median(joint),
+                                                np.quantile(joint, 0.9)).__dict__}
+
+
+def test_frozen_forwards_match_the_recorded_forward(monkeypatch):
+    cfg, splits = small_splits(seed=19, occ=0.5)
+    free = _frozen_runs(splits)
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    recorded = _frozen_runs(splits)
+    for run, fields in free.items():
+        assert fields.keys() == recorded[run].keys()
+        for key, value in fields.items():
+            if isinstance(value, dict):  # pseudo-labels keyed by sample id
+                assert value.keys() == recorded[run][key].keys()
+                value, other = list(value.values()), list(recorded[run][key].values())
+            else:
+                other = recorded[run][key]
+            np.testing.assert_array_equal(value, other, err_msg=f"{run}.{key}")
+
+
+@pytest.fixture
+def recorded_nodes(monkeypatch):
+    """Counts of the nodes with parents created inside ``PoseNet.forward``
+    and elsewhere, through either Tensor constructor."""
+    counts = {"posenet": 0, "other": 0}
+    depth = [0]
+
+    def count(parents):
+        if parents:
+            counts["posenet" if depth[0] else "other"] += 1
+
+    node, init, forward = ad._node, Tensor.__init__, PoseNet.forward
+
+    def spy_node(out, parents=(), vjp=None):
+        count(parents)
+        return node(out, parents, vjp)
+
+    def spy_init(self, data, parents=(), vjp=None, name=None):
+        count(parents)
+        init(self, data, parents, vjp, name)
+
+    def spy_forward(self, obs):
+        depth[0] += 1
+        try:
+            return forward(self, obs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ad, "_node", spy_node)
+    monkeypatch.setattr(Tensor, "__init__", spy_init)
+    monkeypatch.setattr(PoseNet, "forward", spy_forward)
+    return counts
+
+
+def test_frozen_forwards_record_no_graph(recorded_nodes):
+    cfg, splits = small_splits(seed=19, occ=0.5)
+    model = PoseNet(config=small_cfg(), rng=np.random.default_rng(19))
+    model.forward(np.stack([s.obs for s in splits["source"][:2]]))
+    assert recorded_nodes["posenet"] > 0  # the spies see a recorded forward
+    recorded_nodes["posenet"] = 0
+    _frozen_runs(splits)
+    assert recorded_nodes == {"posenet": 0, "other": 0}
+    for joint_level in (False, True):
+        pseudo = (select_joint_pseudo_labels(model, splits["target"], 5.2, 6.0)
+                  if joint_level else select_pose_pseudo_labels(model, splits["target"],
+                                                                np.inf))
+        train_fusion(model, splits["source"], splits["target"], pseudo, fast_hp(),
+                     np.random.default_rng(19), max_iter=2, joint_level=joint_level)
+        # the fusion net's loss graph is recorded, the frozen model is not
+        assert recorded_nodes["posenet"] == 0 and recorded_nodes["other"] > 0
 
 
 def test_nonfinite_loss_stops_before_the_step():
