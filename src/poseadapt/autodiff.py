@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import heatmap as hm
+
 EPS_NORM = 1e-8
 
 _recording = True  # False inside no_grad
@@ -386,6 +388,17 @@ def softmax_rows(a):
         return (out * (g - dot),)
 
     return _node(out, (a,), vjp)
+
+
+def entropy(a):
+    """(..., J) joint entropies of a (..., J, H, W) heatmap stack: the value
+    of ``hm.entropy``, looked up at call time so a wrapper there sees every
+    call. A cell's vjp, -(log max(p, LOG_FLOOR) + 1), is finite at zero."""
+    out = hm.entropy(a.data)
+    if not _recording:
+        return _node(out)
+    return _node(out, (a,), lambda g: (
+        (np.log(np.maximum(a.data, hm.LOG_FLOOR)) + 1.0) * -g[..., None, None],))
 
 
 def unit_rows(a):

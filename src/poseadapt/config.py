@@ -4,7 +4,7 @@ shape and training hyperparameters, loadable from strict JSON."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -76,10 +76,13 @@ SECTIONS = {"source": DomainSpec, "target": DomainSpec, "model": ModelConfig,
 
 def _build(cls, doc, sections):
     """``cls(**doc)``, with each value under a ``sections`` key built into
-    its own class first."""
+    its own class first. An unknown key is named as ``Class.key``."""
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, "
                         f"not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise TypeError(f"{cls.__name__}.{unknown[0]} is not a known key")
     return cls(**{k: _build(sections[k], v, {}) if k in sections else v
                   for k, v in doc.items()})
 

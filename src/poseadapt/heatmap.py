@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LOG_FLOOR = 1e-300  # entropy and its vjp take log max(p, LOG_FLOOR): finite at 0
+
 
 def cell_centers(h, w):
     """(H*W, 2) array of (u, v) cell-center coordinates, row-major."""
@@ -49,8 +51,8 @@ def entropy(heat):
     negative cell is no PDF: its entropy is NaN."""
     heat = np.asarray(heat, dtype=np.float64)
     flat = heat.reshape(heat.shape[:-2] + (-1,))
-    # exact zeros give 0 * log(1e-300) = -0.0, NaN cells stay NaN
-    terms = np.maximum(flat, 1e-300)
+    # exact zeros give 0 * log(LOG_FLOOR) = -0.0, NaN cells stay NaN
+    terms = np.maximum(flat, LOG_FLOOR)
     np.log(terms, out=terms)
     terms *= flat
     np.copyto(terms, np.nan, where=flat < 0)

@@ -32,14 +32,13 @@ def _is_real(x):
 # annotation -> (test, description) of the scalar config field types
 _SCALARS = {"int": (lambda x: _is_real(x) and isinstance(x, numbers.Integral), "an integer"),
             "float": (_is_real, "a real number"),
-            "bool": (lambda x: isinstance(x, bool), "true or false"),
             "str": (lambda x: isinstance(x, str), "a string")}
 
 
 def check_field_types(config):
-    """Raise ``ValueError`` naming ``Class.key`` for the first int, float,
-    bool or str field of the dataclass ``config`` that holds a value of
-    another type. A bool is not a number here."""
+    """Raise ``ValueError`` naming ``Class.key`` for the first int, float
+    or str field of the dataclass ``config`` that holds a value of another
+    type. A bool is not a number here."""
     for f in fields(config):
         test, what = _SCALARS.get(f.type, (None, None))
         value = getattr(config, f.name)

@@ -47,15 +47,9 @@ class HyperParams:
     # high enough that the sharpening pressure releases before it starts
     # fighting the localization loss over peak placement.
     m_l: float = 4.5
-    lr: float = 1e-3
-    lr_overrides: dict = field(default_factory=dict)  # loss name -> lr
+    lr: float = 1e-3             # every loss term's Adam learning rate
     batch_size: int = 8
     sigma: float = 1.0           # GT heatmap sigma, grid cells
-    # Entropy-shaping terms update only the localization head when True.
-    # Letting them touch the shared encoder flattens every heatmap: under
-    # per-loss Adam the flattening direction gets a full-size step no
-    # matter how weak its gradient, and the supervised terms lose.
-    entropy_head_only: bool = True
 
     def __post_init__(self):
         check_field_types(self)
@@ -69,15 +63,6 @@ class HyperParams:
             raise ValueError("HyperParams.batch_size must be an integer >= 1")
         if not 0 < self.sigma < math.inf:  # the width of every ground-truth heatmap
             raise ValueError("HyperParams.sigma must be positive and finite")
-        if not (isinstance(self.lr_overrides, dict) and all(
-                isinstance(k, str) and isinstance(v, (int, float))
-                and not isinstance(v, bool) and 0 <= v < math.inf
-                for k, v in self.lr_overrides.items())):
-            raise ValueError("HyperParams.lr_overrides must map loss names to "
-                             "finite nonnegative learning rates")
-
-    def lr_for(self, loss_name):
-        return self.lr_overrides.get(loss_name, self.lr)
 
 
 @dataclass
@@ -223,25 +208,20 @@ def _update(opts, term, loss):
     return value
 
 
-# Entropy-MAXIMIZATION terms; these are restricted to the localization
-# head when hp.entropy_head_only is set (see HyperParams).  Entropy
-# minimization (ent_inv_t) deliberately updates the whole model: its
+# Entropy-MAXIMIZATION terms step only the localization head: on the shared
+# encoder, per-loss Adam gives the flattening direction a full-size step no
+# matter how weak its gradient, every heatmap flattens and supervision loses.
+# Entropy minimization (ent_inv_t) deliberately updates the whole model: its
 # gradient agrees with supervision, and only the encoder can learn to be
 # sharp on visible joints while staying flat on occluded ones — the
-# localization head is shared across joints and can only change global
-# sharpness.
+# localization head is shared across joints and can only change global sharpness.
 ENTROPY_TERMS = ("ent_outv_s", "ent_bg", "ent_outv_t")
 
 
 def _make_optimizers(model, hp, names):
-    opts = {}
-    for name in names:
-        params = model.parameters()
-        if hp.entropy_head_only and name in ENTROPY_TERMS:
-            params = [p for key, p in sorted(model.params.items())
-                      if key.startswith("loc_head")]
-        opts[name] = Adam(params, lr=hp.lr_for(name))
-    return opts
+    head = [p for key, p in sorted(model.params.items()) if key.startswith("loc_head")]
+    return {name: Adam(head if name in ENTROPY_TERMS else model.parameters(), lr=hp.lr)
+            for name in names}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pose- and joint-level uncertainty measures and the flip-equivariance
-pseudo-label selection rules.
+pseudo-label selection rules. The joint uncertainty H has one definition,
+``joint_uncertainty``: losses differentiate it, ``predict`` reads it.
 
 Selection always runs on a frozen model snapshot: it only reads forward
 passes, never parameters, so training between refreshes cannot leak in.
@@ -29,18 +30,17 @@ def pose_uncertainty(out):
 
 
 def pose_uncertainty_np(q_loc, q_proj):
-    """Numpy twin of ``pose_uncertainty`` for frozen predictions."""
+    """Numpy twin of ``pose_uncertainty`` for ``evaluate`` and the serve
+    benchmark. Its ``mean`` and the autodiff sum times 1/J differ in the
+    last bit, so one shared form would move every pose-level U."""
     return np.linalg.norm(q_loc - q_proj, axis=-1).mean(axis=-1)
 
 
 def joint_uncertainty(out):
-    """Per-joint heatmap self-entropy as a differentiable (B, J) Tensor.
-    The 1e-12 floor inside the log keeps exact zeros finite; cells with
-    zero mass contribute exactly zero."""
-    b, j = out.heatmap.shape[:2]
-    flat = ad.reshape(out.heatmap, (b, j, -1))
-    terms = ad.mul(flat, ad.log(ad.add(flat, 1e-12)))
-    return ad.scale(ad.tsum(terms, axis=-1), -1.0)
+    """Per-joint heatmap self-entropy H, (B, J): one ``autodiff.entropy``
+    node with ``heatmap.entropy``'s value, so training and the frozen
+    uses under ``autodiff.no_grad`` share one arithmetic."""
+    return ad.entropy(out.heatmap)
 
 
 def flip_consistency(q_loc, q_proj, q_loc_f, q_proj_f, tree):
@@ -61,11 +61,11 @@ def predict(model, samples, batch_size=64):
     for lo in range(0, len(obs), batch_size):
         with ad.no_grad():
             out = model.forward(obs[lo:lo + batch_size])
+            ent.append(joint_uncertainty(out).data)
         q_loc.append(out.q_loc.data)
         q_proj.append(out.q_proj.data)
         pose_cam.append(out.pose_cam.data)
         conf.append(out.conf)
-        ent.append(hm.entropy(out.heatmap.data))
     return {"q_loc": np.concatenate(q_loc), "q_proj": np.concatenate(q_proj),
             "pose_cam": np.concatenate(pose_cam), "conf": np.concatenate(conf),
             "entropy": np.concatenate(ent)}

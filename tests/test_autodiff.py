@@ -79,6 +79,9 @@ OPS = [
     ("cos", lambda a: ad.cos(a), [(3, 3)], False),
     ("softplus", lambda a: ad.softplus(a), [(3, 4)], False),
     ("softmax_rows", lambda a: ad.softmax_rows(a), [(4, 6)], False),
+    ("entropy", lambda a: ad.entropy(a), [(2, 3, 4, 4)], True),
+    ("entropy_of_softmax",
+     lambda a: ad.entropy(ad.reshape(ad.softmax_rows(a), (2, 3, 4, 4))), [(2, 3, 16)], False),
     ("unit_rows", lambda a: ad.unit_rows(a), [(5, 3)], False),
     ("row_norms", lambda a: ad.row_norms(a), [(5, 3)], True),
     ("mse", lambda a, b: ad.mse(a, b), [(4, 3), (4, 3)], False),
@@ -207,6 +210,51 @@ def test_softmax_rows_shift_invariant_and_stable():
     ref = ad.softmax_rows(Tensor(x - 1e4)).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def test_entropy_gradient_checks_on_raw_pdfs_and_through_softmax():
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((2, 17))
+    # a 4x4 grid keeps the cells large enough for the finite differences,
+    # whose truncation error grows as 1/p^2
+    cells = rng.uniform(0.1, 1.0, size=(2, 17, 16))
+    pdf = Parameter((cells / cells.sum(axis=-1, keepdims=True)).reshape(2, 17, 4, 4))
+    logits = Parameter(rng.standard_normal((2, 17, 256)) * 3.0)
+
+    def raw():
+        return ad.tsum(ad.mul(ad.entropy(pdf), w))
+
+    def softmax():
+        heat = ad.reshape(ad.softmax_rows(logits), (2, 17, 16, 16))
+        return ad.tsum(ad.mul(ad.entropy(heat), w))
+
+    assert ad.gradient_check(raw, [pdf], rng, n_probe=20) < 1e-6
+    assert ad.gradient_check(softmax, [logits], rng, n_probe=20) < 1e-8
+
+
+def test_entropy_gradient_is_finite_at_exact_zeros_and_softmax_zeroes_it():
+    # logits 800 below the peak underflow to exact zero cells
+    logits = Parameter(np.array([[[0.0, -800.0, 1.0, -900.0]]]))
+    heat = ad.reshape(ad.softmax_rows(logits), (1, 1, 2, 2))
+    zero = heat.data.reshape(1, 1, 4) == 0.0
+    assert zero.sum() == 2
+    ent = ad.entropy(heat)
+    assert np.isfinite(ent.data).all()
+    (cell_grad,) = ent._vjp(np.ones((1, 1)))
+    assert np.isfinite(cell_grad).all()
+    ad.backward(ad.tsum(ent))
+    assert np.isfinite(logits.grad).all()
+    np.testing.assert_array_equal(logits.grad[zero], 0.0)
+    assert np.abs(logits.grad[~zero]).min() > 0.0
+
+
+def test_entropy_of_a_joint_with_a_nan_cell_is_nan():
+    heat = np.full((2, 3, 2, 2), 0.25)
+    heat[1, 2, 0, 1] = np.nan
+    ent = ad.entropy(Tensor(heat)).data
+    assert np.isnan(ent[1, 2])
+    ent[1, 2] = np.log(4.0)
+    np.testing.assert_allclose(ent, np.log(4.0), atol=1e-15)
 
 
 def test_unit_rows_normalizes_and_keeps_zero_rows_finite():

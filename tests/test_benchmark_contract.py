@@ -13,10 +13,13 @@ import sys
 
 import numpy as np
 
-from poseadapt import uncertainty
+from poseadapt import trainer, uncertainty
 from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.model import FusionNet, ModelConfig, PoseNet
 from poseadapt.synthdata import save_dataset
+
+TINY_MODEL = ModelConfig(encoder_widths=(64, 32), trunk_width=32, trunk_blocks=1,
+                         fusion_width=16, fusion_blocks=1)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -46,6 +49,32 @@ def test_every_traced_hook_installs_and_uninstalls():
         assert owner.__dict__[attr] is original, attr
 
 
+def test_traced_entropy_span_sees_serving_and_joint_level_training():
+    # every traced workload must record heatmap.entropy calls: the frozen H
+    # of predict and the H the joint-level losses differentiate both look
+    # it up on the heatmap module
+    spans, workloads = _load("spans"), _load("workloads")
+    tracer = spans.Tracer()
+    workloads.register_layers(tracer)
+    cfg = ExperimentConfig(seed=3, n_source=4, n_target=2, n_background=2, n_eval=1,
+                           occlusion_mix=0.5, model=TINY_MODEL)
+    splits = generate_splits(cfg)
+    net = PoseNet(config=cfg.model, rng=np.random.default_rng(3))
+    tracer.install()
+    try:
+        uncertainty.predict(net, splits["source"], batch_size=2)
+        served = tracer.summary()["heatmap.entropy"]["calls"]
+        trainer.train_joint_level(splits["source"], splits["target"], splits["background"],
+                                  trainer.HyperParams(max_iter=1, batch_size=2),
+                                  np.random.default_rng(3), model=net,
+                                  enable=("sup_inv", "ent_bg"))
+        trained = tracer.summary()["heatmap.entropy"]["calls"] - served
+    finally:
+        tracer.uninstall()
+    assert served == 2  # one per predict batch
+    assert trained == 2  # one per term: sup_inv's entropy hinges and ent_bg
+
+
 def test_serving_names_exist():
     assert callable(uncertainty.pose_uncertainty_np)
     assert isinstance(uncertainty.PseudoLabelSet, type)
@@ -54,9 +83,7 @@ def test_serving_names_exist():
 def test_serve_workload_answers_batch_1_like_batch_n(tmp_path):
     workloads = _load("workloads")
     cfg = ExperimentConfig(seed=3, n_source=0, n_target=0, n_background=0, n_eval=8,
-                           model=ModelConfig(encoder_widths=(64, 32), trunk_width=32,
-                                             trunk_blocks=1, fusion_width=16,
-                                             fusion_blocks=1))
+                           model=TINY_MODEL)
     splits = generate_splits(cfg)
     net = PoseNet(config=cfg.model, rng=np.random.default_rng(3))
     fusion = FusionNet(tree=net.tree, config=net.config, rng=np.random.default_rng(4))

@@ -291,8 +291,7 @@ def test_config_load_save_round_trip_is_byte_identical(tmp_path):
         source=DomainSpec(name="src", appearance_seed=3, euler_range=((-1, 1),) * 3,
                           blob_sigma_px=1.2),
         model=ModelConfig(encoder_widths=(8, 4), heatmap_size=8),
-        hyper=HyperParams(lam=0.5, lr_overrides={"tgt": 5e-4}, max_iter=9,
-                          entropy_head_only=False))
+        hyper=HyperParams(lam=0.5, lr=5e-4, max_iter=9))
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     cfg.save(first)
     loaded = ExperimentConfig.load(first)
@@ -497,6 +496,8 @@ def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "target.json").exists()
 
 
+# lr_overrides and entropy_head_only are no longer HyperParams keys: a config
+# that still sets one is rejected as naming an unknown key, whatever the value
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("batch_size", 2.5), ("sigma", 0.0), ("sigma", -1.0),
     ("lr_overrides", [1]), ("lr_overrides", {"sup": "x"}),

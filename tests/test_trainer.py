@@ -582,12 +582,20 @@ def test_every_leaf_of_a_training_loss_is_a_parameter(monkeypatch):
 
 
 # SHA-256 over the weights, loss logs and metrics rows of a few iterations of
-# pose-level, occluded joint-level and fusion training on a small model;
-# recorded before the autodiff ops took constant operands as plain arrays
-GOLDEN_TRAIN_DIGEST = "6a045e20bedb1c4802915306f3c9918b2d0b56b69615f3bd2e0089ffeb183712"
+# pose-level or occluded joint-level training on a small model, then fusion
+# training, one digest per level. The pose-level runs are bit-identical since
+# the autodiff ops took constant operands as plain arrays. The joint-level
+# digest was recorded again when joint_uncertainty became one
+# autodiff.entropy node: the entropy the joint-level losses differentiate
+# lost the 1e-12 added to each cell inside the log, so H moved in its last
+# bits there (by up to 2.6e-10 per joint on the 16x16 grid).
+GOLDEN_TRAIN_DIGESTS = {
+    "pose": "60e5ddf9808398bce7d5608cd757dee41c066af05f7ef3008c76ff4f0c9b258e",
+    "joint": "2de2908f7f95341bee30f4e6e4784b11e47ff18fc0164bc7c2455612cf4f1f34",
+}
 
 
-def test_training_matches_the_recorded_digest():
+def _training_digest(fn, occ, select, terms):
     h = hashlib.sha256()
 
     def update(params, log, row):
@@ -597,23 +605,28 @@ def test_training_matches_the_recorded_digest():
         # repr of a float is exact, so JSON text pins every bit
         h.update(json.dumps([log, row], sort_keys=True).encode())
 
-    runs = [(train_pose_level, 0.0, dict(alpha_p=np.inf), {"sup", "bg", "tgt", "psup"}),
-            (train_joint_level, 0.7, dict(alpha_q=5.2, alpha_h=6.0),
-             {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"})]
-    for fn, occ, select, terms in runs:
-        cfg, splits = small_splits(seed=13, occ=occ)
-        evals = splits["source_eval"], splits["target_eval"], splits["background_eval"]
-        rng = np.random.default_rng(13)
-        state = fn(splits["source"], splits["target"], splits["background"],
-                   fast_hp(max_iter=4, k_interval=2, **select), rng,
-                   model=PoseNet(config=small_cfg(), rng=np.random.default_rng(13)))
-        assert set().union(*state.loss_log) == terms
-        update(state.model.params, state.loss_log, metrics_row(state, *evals))
-        fusion = train_fusion(state.model, splits["source"], splits["target"],
-                              state.pseudo, fast_hp(), rng, max_iter=4,
-                              joint_level=fn is train_joint_level)
-        update(fusion.params, [], metrics_row(state, *evals, fusion=fusion))
-    assert h.hexdigest() == GOLDEN_TRAIN_DIGEST
+    cfg, splits = small_splits(seed=13, occ=occ)
+    evals = splits["source_eval"], splits["target_eval"], splits["background_eval"]
+    rng = np.random.default_rng(13)
+    state = fn(splits["source"], splits["target"], splits["background"],
+               fast_hp(max_iter=4, k_interval=2, **select), rng,
+               model=PoseNet(config=small_cfg(), rng=np.random.default_rng(13)))
+    assert set().union(*state.loss_log) == terms
+    update(state.model.params, state.loss_log, metrics_row(state, *evals))
+    fusion = train_fusion(state.model, splits["source"], splits["target"],
+                          state.pseudo, fast_hp(), rng, max_iter=4,
+                          joint_level=fn is train_joint_level)
+    update(fusion.params, [], metrics_row(state, *evals, fusion=fusion))
+    return h.hexdigest()
+
+
+def test_training_matches_the_recorded_digest():
+    runs = {"pose": (train_pose_level, 0.0, dict(alpha_p=np.inf),
+                     {"sup", "bg", "tgt", "psup"}),
+            "joint": (train_joint_level, 0.7, dict(alpha_q=5.2, alpha_h=6.0),
+                      {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"})}
+    digests = {level: _training_digest(*run) for level, run in runs.items()}
+    assert digests == GOLDEN_TRAIN_DIGESTS
 
 
 def _frozen_runs(splits):
@@ -703,6 +716,26 @@ def test_frozen_forwards_record_no_graph(recorded_nodes):
         assert recorded_nodes["posenet"] == 0 and recorded_nodes["other"] > 0
 
 
+def test_nan_heatmap_cell_stops_an_entropy_step(monkeypatch):
+    cfg, splits = small_splits(seed=17)
+    model = PoseNet(config=small_cfg(), rng=np.random.default_rng(17))
+    forward = PoseNet.forward
+
+    def poisoned(self, obs):
+        out = forward(self, obs)
+        out.heatmap.data[0, 3, 2, 5] = np.nan  # one cell, one joint
+        return out
+
+    monkeypatch.setattr(PoseNet, "forward", poisoned)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(NonFiniteLossError, match="'ent_bg'"):
+        train_joint_level(splits["source"], splits["target"], splits["background"],
+                          fast_hp(), np.random.default_rng(17), model=model,
+                          enable=("ent_bg",))
+    for k, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+
+
 def test_nonfinite_loss_stops_before_the_step():
     cfg, splits = small_splits(seed=17)
     poisoned = [dataclasses.replace(s, obs=np.full_like(s.obs, np.nan))
@@ -763,8 +796,8 @@ def test_hyperparams_validation():
         HyperParams(k_interval=0)
     with pytest.raises(TypeError, match="bogus"):
         HyperParams(**{"lam1": 1.0, "bogus": 2})
-    hp = HyperParams(lr=1e-3, lr_overrides={"bg": 1e-4})
-    assert hp.lr_for("bg") == 1e-4
-    assert hp.lr_for("sup") == 1e-3
+    with pytest.raises(TypeError, match="lr_overrides"):
+        HyperParams(lr_overrides={"bg": 1e-4})  # every term uses lr
+    hp = HyperParams(lr=1e-4, m_l=4.0)
     clone = HyperParams(**dataclasses.asdict(hp))
     assert clone == hp

@@ -4,7 +4,9 @@ against brute-force per-sample / per-joint recomputation."""
 import numpy as np
 import pytest
 
+from poseadapt import autodiff as ad
 from poseadapt import heatmap as hm
+from poseadapt.autodiff import ComputationRecord
 from poseadapt.model import ModelConfig, PoseNet
 from poseadapt.skeleton import default_tree
 from poseadapt.synthdata import (DomainSpec, build_dataset, flip_observation,
@@ -48,11 +50,20 @@ def test_pose_uncertainty_zero_when_heads_agree():
 
 def test_joint_uncertainty_matches_entropy():
     model = tiny_model()
-    out = model.forward(np.random.default_rng(2).uniform(size=(2, 32, 32)))
-    ju = joint_uncertainty(out).data
+    obs = np.random.default_rng(2).uniform(size=(2, 32, 32))
+    out = model.forward(obs)
+    ju = joint_uncertainty(out)
+    # one node on top of the forward's graph
+    assert ju.parents == (out.heatmap,)
+    assert (len(ComputationRecord.trace(ju).nodes)
+            == len(ComputationRecord.trace(out.heatmap).nodes) + 1)
+    with ad.no_grad():
+        free = joint_uncertainty(model.forward(obs))
+    assert free.parents == ()
     for b in range(2):
-        np.testing.assert_allclose(ju[b], hm.entropy(out.heatmap.data[b]),
-                                   atol=1e-9)
+        expected = hm.entropy(out.heatmap.data[b])
+        np.testing.assert_array_equal(ju.data[b], expected)
+        np.testing.assert_array_equal(free.data[b], expected)
 
 
 def test_flip_consistency_zero_for_equivariant_predictions():
