@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 A Tensor wraps a numpy array together with the links needed to replay the
-computation backwards. Gradients are accumulated into ``Tensor.grad`` of the
-leaves by ``backward``; calling ``backward`` twice without resetting grads
-adds the contributions (additive contract). ``add``, ``sub``, ``mul`` and
-``matmul`` also take plain arrays and numbers: constants, which are never
-recorded and never get a gradient.
+computation backwards. ``backward(loss, wrt)`` returns the gradients of a
+scalar loss as values, one array per leaf of ``wrt``; no tensor holds
+gradient state. ``add``, ``sub``, ``mul``, ``matmul`` and ``dense`` also
+take plain arrays and numbers: constants, which are never recorded and
+never get a gradient.
 
 Recording contract: outside ``no_grad`` every op returns a node whose
 ``parents`` are its Tensor operands and whose vjp replays it. Inside
@@ -32,11 +32,10 @@ class Tensor:
     for leaves (parameters, tensors made from plain data, and op results
     under ``no_grad``)."""
 
-    __slots__ = ("data", "grad", "parents", "_vjp", "name")
+    __slots__ = ("data", "parents", "_vjp", "name")
 
     def __init__(self, data, parents=(), vjp=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.parents = tuple(parents)
         self._vjp = vjp  # out_grad -> tuple of parent grads
         self.name = name
@@ -57,21 +56,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor. Grad starts at zero so that parameters
-    unreachable from a loss report exactly zero gradient."""
+    """Trainable leaf tensor."""
+
+    __slots__ = ()
 
     def __init__(self, data, name=None):
         super().__init__(data, name=name)
         if not self.data.flags.c_contiguous:
             # the optimizer updates flat views of data
             self.data = self.data.copy()
-        # np.zeros takes calloc'd memory, which large arrays get as fresh
-        # zero pages mapped on first write (zeros_like writes them all):
-        # a model that never runs backward never pays for its gradients
-        self.grad = np.zeros(self.data.shape)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 # aliases for ``_node``: looking the two attributes up on every op result
@@ -87,7 +80,6 @@ def _node(out, parents=(), vjp=None):
     Without ``parents`` it is an unrecorded result."""
     t = _new_tensor(Tensor)
     t.data = out if type(out) is _ndarray else np.asarray(out, dtype=np.float64)
-    t.grad = None
     t.parents = parents
     t._vjp = vjp
     t.name = None
@@ -136,32 +128,28 @@ class ComputationRecord:
         return cls(order)
 
 
-def backward(loss, wrt=None):
-    """Accumulate d(loss)/d(leaf) into ``grad`` of the leaves reachable
-    from ``loss``. ``loss`` must be scalar.
+def backward(loss, wrt):
+    """The gradients d(loss)/d(leaf), one array per leaf of the sequence
+    ``wrt``, in its order; a leaf the loss does not reach gets zeros.
+    ``loss`` must be scalar.
 
-    Only leaves (tensors without parents) receive gradient; intermediate
-    nodes keep ``grad`` as it was. A leaf whose ``grad`` is ``None`` gets a
-    fresh array, any other leaf is added to in place, so two calls without
-    resetting grads add the contributions.
-
-    ``wrt`` (an iterable of leaves) restricts the pass to those leaves:
-    nodes from which none of them is reachable are not differentiated, and
-    every other leaf's ``grad`` is left untouched. The gradients that do
-    reach ``wrt`` are summed in the same order as without it, so they are
-    bit-identical to a full pass.
+    Only the nodes from which a leaf of ``wrt`` is reachable are
+    differentiated. The adjoints are summed in the same order whatever
+    ``wrt`` holds, so a gradient is bit-identical to the one a pass over
+    every leaf gives. The returned arrays may share memory with each other
+    (``add`` hands both operands one adjoint): read them, do not write
+    them.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     nodes = ComputationRecord.trace(loss).nodes
-    if wrt is not None:
-        # keep the nodes from which a leaf in wrt is reachable (parents
-        # come before children in the record)
-        live = {id(p) for p in wrt}
-        for node in nodes:
-            if any(id(p) in live for p in node.parents):
-                live.add(id(node))
-        nodes = [node for node in nodes if id(node) in live]
+    # keep the nodes from which a leaf in wrt is reachable (parents come
+    # before children in the record)
+    live = {id(p) for p in wrt}
+    for node in nodes:
+        if any(id(p) in live for p in node.parents):
+            live.add(id(node))
+    nodes = [node for node in nodes if id(node) in live]
     adjoint = {id(loss): np.ones_like(loss.data)}
     for node in reversed(nodes):
         g = adjoint.get(id(node))
@@ -172,14 +160,7 @@ def backward(loss, wrt=None):
                 continue
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if acc is None else acc + pg
-    for node in nodes:
-        g = adjoint.get(id(node))
-        if g is None or node.parents:
-            continue
-        if node.grad is None:
-            node.grad = np.array(g, dtype=np.float64)
-        else:
-            np.add(node.grad, g, out=node.grad)
+    return [adjoint[id(p)] if id(p) in adjoint else np.zeros(p.data.shape) for p in wrt]
 
 
 def _unbroadcast(g, shape):
@@ -323,10 +304,10 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def relu(a):
-    mask = a.data > 0
-    out = a.data * mask
+    out = np.maximum(a.data, 0.0)
     if not _recording:
         return _node(out)
+    mask = a.data > 0
     return _node(out, (a,), lambda g: (g * mask,))
 
 
@@ -419,7 +400,25 @@ def unit_rows(a):
 
 
 def dense(x, w, b):
-    return add(matmul(x, w), b)
+    """``x @ w + b`` as one node, the bias added in place into the fresh
+    product. ``x`` may be a constant; ``w`` and ``b`` are Tensors. The
+    value and the vjps are those of ``add(matmul(x, w), b)``."""
+    tx = isinstance(x, Tensor)
+    xd = x.data if tx else np.asarray(x, dtype=np.float64)
+    wd = w.data
+    out = _matmul(xd, wd)
+    out += b.data
+    if not _recording:
+        return _node(out)
+
+    def vjp(g):
+        gw = _unbroadcast(_xt_matmul_g(g, xd, wd), wd.shape)
+        gb = _unbroadcast(g, b.shape)
+        if not tx:  # a constant input gets no gradient
+            return gw, gb
+        return _unbroadcast(_g_matmul_yt(g, xd, wd), xd.shape), gw, gb
+
+    return _node(out, (x,) * tx + (w, b), vjp)
 
 
 def mse(a, b):
@@ -445,11 +444,9 @@ def gradient_check(fn, tensors, rng, n_probe=6, step=1e-5):
     ``|a - n| / max(|a|, |n|, 1)`` so near-zero gradients are judged on an
     absolute scale.
     """
-    for t in tensors:
-        t.grad = np.zeros_like(t.data)
-    backward(fn())
+    grads = backward(fn(), tensors)
     worst = 0.0
-    for t in tensors:
+    for t, grad in zip(tensors, grads):
         flat = t.data.reshape(-1)
         k = min(n_probe, flat.size)
         idxs = rng.choice(flat.size, size=k, replace=False)
@@ -462,7 +459,7 @@ def gradient_check(fn, tensors, rng, n_probe=6, step=1e-5):
                 lo = float(fn().data)
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * step)
-            analytic = t.grad.reshape(-1)[i]
+            analytic = grad.reshape(-1)[i]
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
             worst = max(worst, err)
     return worst

@@ -134,10 +134,6 @@ class PoseNet:
     def parameters(self):
         return list(self.params.values())
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
     def encode(self, obs):
         x = obs.reshape(len(obs), -1)
         for i in range(len(self.config.encoder_widths)):

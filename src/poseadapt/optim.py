@@ -1,21 +1,24 @@
 """Adam optimizer and parameter checkpoint IO.
 
 Each loss term in a training loop owns its own ``Adam`` instance, so the
-first/second moments of one loss never mix with another's.
+first/second moments of one loss never mix with another's. ``Adam.step``
+takes the gradients ``autodiff.backward`` returns for ``Adam.params``;
+neither the optimizer nor the parameters keep them.
 
 ``Adam.step`` walks each parameter in chunks of ``CHUNK`` floats and runs
-the whole update on one chunk before moving on. The update reads and writes
-four arrays (data, grad and both moments) plus two scratch buffers; at 32k
-float64 values per array a chunk's six arrays take 1.5 MB and stay in a
-2 MB per-core L2 cache, where whole-array passes over the 947k-float model
-would stream every array through memory once per operation. Chunking
-changes no arithmetic: the results are bit-identical to whole-array
-updates.
+the whole update on one chunk before moving on. The update reads four
+arrays (data, gradient and both moments), writes three of them, and uses
+two scratch buffers; at 32k float64 values per array a chunk's six arrays
+take 1.5 MB and stay in a 2 MB per-core L2 cache, where whole-array
+passes over the 947k-float model would stream every array through memory
+once per operation. Chunking changes no arithmetic: the results are
+bit-identical to whole-array updates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -38,14 +41,16 @@ class Adam:
         n = min(CHUNK, max((p.data.size for p in self.params), default=0))
         self._scratch = (np.empty(n), np.empty(n))
 
-    def step(self):
+    def step(self, grads):
+        """One update of ``params`` from ``grads``, one array per parameter
+        in the same order; the gradients are only read."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         # bias-corrected step size; moments stay uncorrected in place
         alpha = self.lr / (1.0 - b1 ** self.t)
         corr2 = np.sqrt(1.0 - b2 ** self.t)
-        for p, m, v in zip(self.params, self.m, self.v):
-            flat = (p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1))
+        for p, grad, m, v in zip(self.params, grads, self.m, self.v):
+            flat = (p.data.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1))
             for lo in range(0, flat[0].size, CHUNK):
                 x, g, mc, vc = (a[lo:lo + CHUNK] for a in flat)
                 tmp, denom = (s[:x.size] for s in self._scratch)
@@ -57,10 +62,6 @@ class Adam:
                 denom /= corr2
                 denom += self.eps
                 x -= np.divide(np.multiply(mc, alpha, out=tmp), denom, out=tmp)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
 
 
 def save_params(params, path_prefix):
@@ -90,17 +91,23 @@ def load_params(path_prefix):
     exactly raises ``DataInvariantError``."""
     try:
         with open(path_prefix + ".json") as f:
-            entries = [(e["name"], tuple(e["shape"]), int(e["offset"]), int(e["size"]))
+            entries = [(e["name"], tuple(e["shape"]), e["offset"], e["size"])
                        for e in json.load(f)["params"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataInvariantError(f"checkpoint {path_prefix}: bad manifest: {e!r}") from e
+    for name, shape, lo, size in entries:
+        # exactly int: not a bool (an int subclass), nor a float like 256.0
+        if not all(type(n) is int and n >= 0 for n in (*shape, lo, size)):
+            raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} needs "
+                                     f"non-negative integers, got shape {list(shape)}, "
+                                     f"offset {lo!r}, size {size!r}")
     blob = np.fromfile(path_prefix + ".bin", dtype="<f8")
     total = sum(size for _, _, _, size in entries)
     if blob.size != total:
         raise DataInvariantError(f"checkpoint {path_prefix}: blob holds {blob.size} "
                                  f"floats, manifest sizes sum to {total}")
     for name, shape, lo, size in entries:
-        if lo < 0 or lo + size > blob.size or int(np.prod(shape)) != size:
+        if lo + size > blob.size or math.prod(shape) != size:
             raise DataInvariantError(f"checkpoint {path_prefix}: entry {name!r} with "
                                      f"shape {list(shape)} does not fit offset {lo}, "
                                      f"size {size}")

@@ -197,14 +197,12 @@ class NonFiniteLossError(FloatingPointError):
 
 def _update(opts, term, loss):
     """One step of loss term ``term`` with its optimizer ``opts[term]``.
-    Only that optimizer's parameters are zeroed and differentiated."""
+    Only that optimizer's parameters are differentiated."""
     value = float(loss.data)
     if not math.isfinite(value):
         raise NonFiniteLossError(term, value)
     opt = opts[term]
-    opt.zero_grad()
-    ad.backward(loss, wrt=opt.params)
-    opt.step()
+    opt.step(ad.backward(loss, wrt=opt.params))
     return value
 
 

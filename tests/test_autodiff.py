@@ -37,11 +37,10 @@ def check_op(build, shapes, seed, positive=False):
     def scalar_loss():
         return ad.tsum(ad.mul(build(*params), weights))
 
-    loss = scalar_loss()
-    ad.backward(loss)
-    for p in params:
+    grads = ad.backward(scalar_loss(), params)
+    for p, grad in zip(params, grads):
         num = numeric_grad(lambda: float(scalar_loss().data), p.data)
-        np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-7)
 
 
 # a constant operand: a plain array, not a Tensor
@@ -107,7 +106,7 @@ def test_no_grad_ops_give_the_recorded_values_without_a_graph(name, build, shape
     with ad.no_grad():
         free = build(*params)
     assert recorded.parents
-    assert free.parents == () and free._vjp is None and free.grad is None
+    assert free.parents == () and free._vjp is None
     assert type(free.data) is np.ndarray and free.data.dtype == np.float64
     np.testing.assert_array_equal(free.data, recorded.data)
 
@@ -140,9 +139,9 @@ def test_unrecorded_result_is_a_leaf_of_a_recorded_graph():
     p = Parameter(np.array([1.0, 2.0]))
     with ad.no_grad():
         frozen = ad.exp(p)
-    ad.backward(ad.tsum(ad.mul(p, frozen)))
-    np.testing.assert_array_equal(p.grad, np.exp([1.0, 2.0]))
-    np.testing.assert_array_equal(frozen.grad, [1.0, 2.0])
+    grad_p, grad_frozen = ad.backward(ad.tsum(ad.mul(p, frozen)), [p, frozen])
+    np.testing.assert_array_equal(grad_p, np.exp([1.0, 2.0]))
+    np.testing.assert_array_equal(grad_frozen, [1.0, 2.0])
 
 
 def test_matmul_rejects_one_dimensional_operands():
@@ -166,35 +165,41 @@ def test_constant_operands_are_not_recorded(op):
     np.testing.assert_array_equal(op(p, mask).data, op(p, mask.astype(np.float64)).data)
 
 
-def test_backward_accumulates_additively():
-    # two backward calls without zero_grad must give exactly twice the grad
+def test_backward_returns_gradients_and_keeps_no_state():
+    # gradients are return values: a second pass over the same loss gives
+    # the same arrays again, nothing accumulates, and no tensor has a slot
+    # to hold one
     p = Parameter(np.array([1.0, -2.0, 3.0]))
     loss = ad.tsum(ad.mul(p, p))
-    ad.backward(loss)
-    once = p.grad.copy()
-    ad.backward(loss)
-    np.testing.assert_array_equal(p.grad, 2.0 * once)
+    (once,) = ad.backward(loss, [p])
+    (twice,) = ad.backward(loss, [p])
+    np.testing.assert_array_equal(once, [2.0, -4.0, 6.0])
+    np.testing.assert_array_equal(twice, once)
+    for t in (p, loss):
+        assert not hasattr(t, "grad")
+        with pytest.raises(AttributeError):
+            t.grad = np.zeros(3)
 
 
 def test_unreachable_parameter_keeps_zero_grad():
     used = Parameter(np.ones(3))
     unused = Parameter(np.ones(4))
-    ad.backward(ad.tsum(used))
-    np.testing.assert_array_equal(unused.grad, np.zeros(4))
-    np.testing.assert_array_equal(used.grad, np.ones(3))
+    grad_unused, grad_used = ad.backward(ad.tsum(used), [unused, used])
+    np.testing.assert_array_equal(grad_unused, np.zeros(4))
+    np.testing.assert_array_equal(grad_used, np.ones(3))
 
 
 def test_reused_node_accumulates_both_paths():
     p = Parameter(np.array([2.0]))
     y = ad.add(ad.mul(p, p), ad.scale(p, 3.0))  # p^2 + 3p -> 2p + 3 = 7
-    ad.backward(ad.tsum(y))
-    np.testing.assert_allclose(p.grad, [7.0])
+    (grad,) = ad.backward(ad.tsum(y), [p])
+    np.testing.assert_array_equal(grad, [7.0])
 
 
 def test_backward_rejects_nonscalar():
     p = Parameter(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ad.backward(ad.mul(p, p))
+        ad.backward(ad.mul(p, p), [p])
 
 
 def test_softmax_rows_is_row_pdf():
@@ -242,10 +247,10 @@ def test_entropy_gradient_is_finite_at_exact_zeros_and_softmax_zeroes_it():
     assert np.isfinite(ent.data).all()
     (cell_grad,) = ent._vjp(np.ones((1, 1)))
     assert np.isfinite(cell_grad).all()
-    ad.backward(ad.tsum(ent))
-    assert np.isfinite(logits.grad).all()
-    np.testing.assert_array_equal(logits.grad[zero], 0.0)
-    assert np.abs(logits.grad[~zero]).min() > 0.0
+    (grad,) = ad.backward(ad.tsum(ent), [logits])
+    assert np.isfinite(grad).all()
+    np.testing.assert_array_equal(grad[zero], 0.0)
+    assert np.abs(grad[~zero]).min() > 0.0
 
 
 def test_entropy_of_a_joint_with_a_nan_cell_is_nan():
@@ -259,26 +264,28 @@ def test_entropy_of_a_joint_with_a_nan_cell_is_nan():
 
 def test_unit_rows_normalizes_and_keeps_zero_rows_finite():
     x = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
-    out = ad.unit_rows(Tensor(x))
+    leaf = Tensor(x)
+    out = ad.unit_rows(leaf)
     np.testing.assert_allclose(out.data[0], [0.6, 0.8, 0.0], atol=1e-9)
     assert np.all(np.isfinite(out.data))
-    ad.backward(ad.tsum(out))  # gradient through the zero row stays finite
+    (grad,) = ad.backward(ad.tsum(out), [leaf])
+    assert np.all(np.isfinite(grad))  # gradient through the zero row stays finite
 
 
 def test_getitem_scatters_grad_to_source_positions():
     p = Parameter(np.zeros((3, 3)))
-    ad.backward(ad.tsum(p[1]))
+    (grad,) = ad.backward(ad.tsum(p[1]), [p])
     expected = np.zeros((3, 3))
     expected[1] = 1.0
-    np.testing.assert_array_equal(p.grad, expected)
+    np.testing.assert_array_equal(grad, expected)
 
 
 def test_broadcast_grad_reduces_to_leaf_shape():
     a = Parameter(np.ones((2, 3)))
     b = Parameter(np.ones(3))
-    ad.backward(ad.tsum(ad.add(a, b)))
-    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
-    assert a.grad.shape == (2, 3)
+    grad_a, grad_b = ad.backward(ad.tsum(ad.add(a, b)), [a, b])
+    np.testing.assert_array_equal(grad_b, [2.0, 2.0, 2.0])
+    assert grad_a.shape == (2, 3)
 
 
 def test_gradient_check_utility_passes_on_smooth_function():
@@ -305,16 +312,18 @@ def test_gradient_check_utility_flags_wrong_gradient():
 
 
 def test_intermediate_nodes_get_no_grad():
+    # any leaf can be asked for, a Parameter or a Tensor made from data;
+    # the gradients come back in the order asked, and the intermediate
+    # node keeps nothing
     p = Parameter(np.array([1.0, 2.0]))
-    primed = Tensor(np.array([3.0, 4.0]))
-    primed.grad = np.zeros(2)
+    other = Tensor(np.array([3.0, 4.0]))
     const = Tensor(np.array([5.0, 6.0]))
-    h = ad.mul(p, primed)
-    ad.backward(ad.tsum(ad.mul(h, const)))
-    assert h.grad is None
-    np.testing.assert_array_equal(p.grad, [15.0, 24.0])
-    np.testing.assert_array_equal(primed.grad, [5.0, 12.0])
-    np.testing.assert_array_equal(const.grad, [3.0, 8.0])  # None -> fresh copy
+    h = ad.mul(p, other)
+    grads = ad.backward(ad.tsum(ad.mul(h, const)), [const, p, other])
+    assert not hasattr(h, "grad")
+    np.testing.assert_array_equal(grads[0], [3.0, 8.0])
+    np.testing.assert_array_equal(grads[1], [15.0, 24.0])
+    np.testing.assert_array_equal(grads[2], [5.0, 12.0])
 
 
 def _two_stage_loss(x, enc, head, calls):
@@ -337,17 +346,13 @@ def test_backward_wrt_prunes_to_target_leaves():
     enc = Parameter(rng.standard_normal((5, 6)))
     head = Parameter(rng.standard_normal((6, 3)))
     calls = []
-    ad.backward(_two_stage_loss(x, enc, head, calls))
-    full_head = head.grad.copy()
-    assert calls and np.abs(enc.grad).max() > 0.0
+    full_enc, full_head = ad.backward(_two_stage_loss(x, enc, head, calls), [enc, head])
+    assert calls and np.abs(full_enc).max() > 0.0
 
-    enc.grad[...] = 7.0
-    head.grad[...] = 0.0
     calls.clear()
-    ad.backward(_two_stage_loss(x, enc, head, calls), wrt=[head])
+    (grad_head,) = ad.backward(_two_stage_loss(x, enc, head, calls), wrt=[head])
     assert not calls  # nothing below the head is differentiated
-    np.testing.assert_array_equal(enc.grad, np.full((5, 6), 7.0))
-    np.testing.assert_array_equal(head.grad, full_head)
+    np.testing.assert_array_equal(grad_head, full_head)
 
 
 def test_backward_wrt_matches_full_pass_bit_for_bit():
@@ -360,11 +365,30 @@ def test_backward_wrt_matches_full_pass_bit_for_bit():
         h = ad.softplus(ad.add(a, b))
         return ad.tsum(ad.mul(ad.matmul(h, c), ad.matmul(ad.exp(a), c)))
 
-    ad.backward(loss())
-    full = [p.grad.copy() for p in (a, b, c)]
-    for p in (a, b, c):
-        p.zero_grad()
-    ad.backward(loss(), wrt=[a, b])
-    np.testing.assert_array_equal(a.grad, full[0])
-    np.testing.assert_array_equal(b.grad, full[1])
-    np.testing.assert_array_equal(c.grad, np.zeros((4, 2)))
+    # an unpruned pass: every leaf of the loss is asked for
+    full = ad.backward(loss(), wrt=[a, b, c])
+    pruned = ad.backward(loss(), wrt=[a, b])
+    assert len(pruned) == 2
+    np.testing.assert_array_equal(pruned[0], full[0])
+    np.testing.assert_array_equal(pruned[1], full[1])
+    (only_c,) = ad.backward(loss(), wrt=[c])  # prunes softplus, exp and add
+    np.testing.assert_array_equal(only_c, full[2])
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("x_is_leaf", [True, False])
+def test_dense_is_one_node_equal_to_add_of_matmul(x_shape, x_is_leaf):
+    rng = np.random.default_rng(5)
+    x_data = rng.standard_normal(x_shape)
+    x = Parameter(x_data) if x_is_leaf else x_data
+    w = Parameter(rng.standard_normal((4, 5)))
+    b = Parameter(rng.standard_normal(5))
+    probe = rng.standard_normal(x_shape[:-1] + (5,))
+    leaves = [x, w, b] if x_is_leaf else [w, b]
+    fused = ad.dense(x, w, b)
+    composed = ad.add(ad.matmul(x, w), b)
+    assert fused.parents == tuple(leaves)
+    np.testing.assert_array_equal(fused.data, composed.data)
+    for got, want in zip(ad.backward(ad.tsum(ad.mul(fused, probe)), leaves),
+                         ad.backward(ad.tsum(ad.mul(composed, probe)), leaves)):
+        np.testing.assert_array_equal(got, want)

@@ -75,6 +75,31 @@ def test_traced_entropy_span_sees_serving_and_joint_level_training():
     assert trained == 2  # one per term: sup_inv's entropy hinges and ent_bg
 
 
+def test_traced_training_counts_one_backward_and_one_adam_step_per_term():
+    # the traced run's zero-call guard and per-layer counters read these
+    # spans; the gradients backward returns go straight into Adam.step
+    spans, workloads = _load("spans"), _load("workloads")
+    tracer = spans.Tracer()
+    workloads.register_layers(tracer)
+    cfg = ExperimentConfig(seed=3, n_source=4, n_target=4, n_background=2, n_eval=1,
+                           model=TINY_MODEL)
+    splits = generate_splits(cfg)
+    tracer.install()
+    try:
+        state = trainer.train_pose_level(
+            splits["source"], splits["target"], splits["background"],
+            trainer.HyperParams(max_iter=1, batch_size=2), np.random.default_rng(3),
+            model=PoseNet(config=cfg.model, rng=np.random.default_rng(3)))
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    (stepped,) = state.loss_log
+    assert len(stepped) >= 2
+    assert summary["autodiff.backward"]["calls"] == len(stepped)
+    assert summary["optim.adam_step"]["calls"] == len(stepped)
+    assert tracer.work["autodiff.nodes"] > 0 and tracer.work["optim.floats"] > 0
+
+
 def test_serving_names_exist():
     assert callable(uncertainty.pose_uncertainty_np)
     assert isinstance(uncertainty.PseudoLabelSet, type)

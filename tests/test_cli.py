@@ -405,6 +405,25 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys):
     assert "blob holds" in err["error"]
 
 
+@pytest.mark.parametrize("shape", [[-1, -64], [64.0]])
+def test_checkpoint_shape_that_is_not_a_count_exits_4(tmp_path, capsys, shape):
+    cfgp = tiny_config(tmp_path)
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ExperimentConfig.load(cfgp).model).save(prefix)
+    with open(prefix + ".json") as f:
+        doc = json.load(f)
+    (entry,) = [e for e in doc["params"] if e["name"] == "enc0.b"]
+    assert entry["shape"] == [64]  # same product as [-1, -64]
+    entry["shape"] = shape
+    with open(prefix + ".json", "w") as f:
+        json.dump(doc, f)
+    rc = main(["evaluate", "--config", cfgp, "--model", prefix,
+               "--out", str(tmp_path / "ev")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_DATA
+    assert "'enc0.b' needs non-negative integers" in err["error"]
+
+
 def test_fusion_checkpoint_without_blend_exits_4(tmp_path, capsys):
     # the fusion layout written before the x/y blend: no fuse_blend, and
     # an MLP head with three outputs per joint

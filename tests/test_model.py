@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,21 +129,20 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert clone.tree.names == model.tree.names
 
 
-def test_loaded_model_has_zero_gradients_and_trains_like_the_saved_one(tmp_path):
+def test_loaded_model_holds_no_gradient_state_and_trains_like_the_saved_one(tmp_path):
     model = small_model(seed=7)
     prefix = str(tmp_path / "model")
     model.save(prefix)
     clone = PoseNet.load(prefix)
     assert list(clone.params) == list(model.params)
     for name, p in clone.params.items():
-        assert p.grad.shape == p.data.shape and not p.grad.any(), name
+        assert not hasattr(p, "grad") and not hasattr(p, "__dict__"), name
     obs = random_obs(np.random.default_rng(14), 3)
     for net in (model, clone):
         opt = Adam(net.parameters(), lr=1e-3)
         out = net.forward(obs)
-        ad.backward(ad.add(ad.tmean(ad.mul(out.heatmap, out.heatmap)),
-                           ad.tmean(out.pose_cam)))
-        opt.step()
+        opt.step(ad.backward(ad.add(ad.tmean(ad.mul(out.heatmap, out.heatmap)),
+                                    ad.tmean(out.pose_cam)), opt.params))
     for name, p in model.params.items():
         np.testing.assert_array_equal(clone.params[name].data, p.data, err_msg=name)
 
@@ -415,6 +416,39 @@ def test_load_params_rejects_overlapping_entries(tmp_path):
         json.dump(doc, f)
     with pytest.raises(DataInvariantError, match="'b' at offset 1 overlaps"):
         load_params(prefix)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shape", [-1, -256]), ("shape", [256.0]), ("shape", [True, 256]),
+    ("offset", 0.0), ("size", -256)])
+def test_load_params_rejects_entries_that_are_not_counts(tmp_path, field, value):
+    # [-1, -256] has the right product and would reach numpy's reshape as
+    # an unknown axis; 256.0 would reach it as a float
+    prefix = str(tmp_path / "model")
+    small_model().save(prefix)
+    with open(prefix + ".json") as f:
+        doc = json.load(f)
+    (entry,) = [e for e in doc["params"] if e["name"] == "enc0.b"]
+    entry[field] = value
+    with open(prefix + ".json", "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(DataInvariantError, match="'enc0.b' needs non-negative integers"):
+        PoseNet.load(prefix)
+
+
+def test_loading_a_model_allocates_about_its_weights(tmp_path):
+    # the weights are views of the one blob read; nothing is allocated
+    # beside them, in particular no gradient buffers
+    prefix = str(tmp_path / "model")
+    PoseNet(config=ModelConfig(), rng=np.random.default_rng(0)).save(prefix)
+    blob_bytes = os.path.getsize(prefix + ".bin")
+    tracemalloc.start()
+    try:
+        PoseNet.load(prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * blob_bytes, (peak, blob_bytes)
 
 
 def test_model_config_rejects_unknown_keys():
