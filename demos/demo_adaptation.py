@@ -1,63 +1,26 @@
 """Unsupervised adaptation from a labeled source domain to an unlabeled
-target domain.
+target domain: ``poseadapt.protocols.pose_protocol`` on seed 0. Pretrains
+on labeled source images, then continues from that model with the same
+budget and seed three times: supervised loss only (baseline), plus
+uncertainty shaping on backgrounds and target images (uncert), plus
+flip-consistency pseudo-labels (full). Compares target-domain MPJPE."""
 
-Pretrains on labeled source images, then continues from that checkpoint
-twice with the same budget and seed: once with the supervised loss only,
-and once with the full pose-level adaptation pipeline (uncertainty
-shaping on backgrounds and target images plus flip-consistency
-pseudo-labels). Compares target-domain MPJPE.
-"""
+from poseadapt.protocols import VARIANTS, pose_protocol
 
-import os
-import tempfile
 
-import numpy as np
-
-from poseadapt.config import ExperimentConfig, generate_splits
-from poseadapt.model import PoseNet
-from poseadapt.trainer import HyperParams, evaluate, train_pose_level
+def report(res):
+    """Print the target-eval errors of a ``pose_protocol`` result."""
+    for name in ("pretrained", *VARIANTS):
+        ev = res[name]
+        print(f"{name:12s} target MPJPE {ev['mpjpe']:.4f} PA-MPJPE {ev['pa_mpjpe']:.4f}")
+    print(f"full + fusion target MPJPE {res['full']['fused_mpjpe']:.4f}; "
+          f"pseudo-labels selected: {res['selected']}")
+    gain = res["baseline"]["mpjpe"] - res["full"]["mpjpe"]
+    print(f"adaptation gain (baseline - full): {gain:+.4f} MPJPE")
 
 
 def main():
-    cfg = ExperimentConfig(seed=0, n_source=256, n_target=256,
-                           n_background=128, n_eval=128)
-    splits = generate_splits(cfg)
-
-    # Phase 1: supervised pretraining on the source domain.
-    model = PoseNet(rng=np.random.default_rng(cfg.seed))
-    hp1 = HyperParams(max_iter=1600, k_interval=10 ** 9)
-    train_pose_level(splits["source"], splits["target"], splits["background"],
-                     hp1, np.random.default_rng(cfg.seed), model=model,
-                     enable=("sup",))
-    ev = evaluate(model, splits["target_eval"])
-    print(f"{'pretrained':16s} target MPJPE {ev['mpjpe']:.4f} "
-          f"PA-MPJPE {ev['pa_mpjpe']:.4f}")
-
-    # Phase 2: continue from the same checkpoint with identical budgets.
-    # lam=0 keeps the pseudo-label loss on the heatmaps only; the averaged
-    # 3D pseudo-poses are less accurate than the model's own predictions.
-    hp2 = HyperParams(max_iter=600, k_interval=200, alpha_p=0.25, lam=0.0)
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "pretrained")
-        model.save(path)
-        for label, terms in [("source-only", ("sup",)),
-                             ("full adaptation", ("sup", "bg", "tgt", "psup"))]:
-            clone = PoseNet.load(path)
-            state = train_pose_level(splits["source"], splits["target"],
-                                     splits["background"], hp2,
-                                     np.random.default_rng(cfg.seed + 1000),
-                                     model=clone, enable=terms)
-            ev = evaluate(state.model, splits["target_eval"])
-            results[label] = ev["mpjpe"]
-            extra = ""
-            if state.pseudo is not None:
-                extra = f"  (pseudo-labels selected: {len(state.pseudo)})"
-            print(f"{label:16s} target MPJPE {ev['mpjpe']:.4f} "
-                  f"PA-MPJPE {ev['pa_mpjpe']:.4f}{extra}")
-
-    gain = results["source-only"] - results["full adaptation"]
-    print(f"adaptation gain: {gain:+.4f} MPJPE")
+    report(pose_protocol(0))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ seed; wall-clock timestamps go only to the sidecar run.log.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -56,20 +57,17 @@ def _fail(code, message):
 
 
 def _load_config(path, seed=None):
-    if path is None:
-        cfg = ExperimentConfig()
-    else:
-        if not os.path.exists(path):
-            _fail(EXIT_MISSING_FILES, f"config file not found: {path}")
-        try:
-            cfg = ExperimentConfig.load(path)
-        except (ValueError, TypeError) as e:  # JSON syntax errors are ValueErrors
-            _fail(EXIT_BAD_CONFIG, f"invalid config: {e}")
-        except OSError as e:  # a directory, or a file that cannot be read
-            _fail(EXIT_MISSING_FILES, f"cannot read config file {path}: {e.strerror or e}")
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    """The config at ``path`` (the defaults without one), with ``seed``
+    replacing its seed; the result passes every constructor check."""
+    if path is not None and not os.path.exists(path):
+        _fail(EXIT_MISSING_FILES, f"config file not found: {path}")
+    try:
+        cfg = ExperimentConfig() if path is None else ExperimentConfig.load(path)
+        return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
+    except (ValueError, TypeError) as e:  # JSON syntax errors are ValueErrors
+        _fail(EXIT_BAD_CONFIG, f"invalid config: {e}")
+    except OSError as e:  # a directory, or a file that cannot be read
+        _fail(EXIT_MISSING_FILES, f"cannot read config file {path}: {e.strerror or e}")
 
 
 def _prepare_out(out_dir, cfg):
@@ -253,7 +251,9 @@ def cmd_histogram(args):
 
 
 def cmd_gradcheck(args):
-    rng = np.random.default_rng(args.seed or 0)
+    if args.seed < 0:
+        _fail(EXIT_BAD_CONFIG, f"--seed must be nonnegative, not {args.seed}")
+    rng = np.random.default_rng(args.seed)
     model = PoseNet(rng=rng)
     obs = rng.uniform(size=(2, model.config.image_size, model.config.image_size))
     names = sorted(model.params)
@@ -319,15 +319,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(json.dumps({"error": str(e), "code": e.code}), file=sys.stderr)
-        return e.code
-    except DataInvariantError as e:
-        print(json.dumps({"error": str(e), "code": EXIT_BAD_DATA}), file=sys.stderr)
-        return EXIT_BAD_DATA
-    except NonFiniteLossError as e:
-        print(json.dumps({"error": str(e), "code": EXIT_NON_FINITE}), file=sys.stderr)
-        return EXIT_NON_FINITE
+    except (CliError, DataInvariantError, NonFiniteLossError) as e:
+        code = e.code if isinstance(e, CliError) else (
+            EXIT_BAD_DATA if isinstance(e, DataInvariantError) else EXIT_NON_FINITE)
+        print(json.dumps({"error": str(e), "code": code}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("n_source", "n_target", "n_background"):
+        for name in ("seed", "n_source", "n_target", "n_background"):
             if getattr(self, name) < 0:
                 raise ValueError(f"ExperimentConfig.{name} must be nonnegative")
         if self.n_eval < 1:

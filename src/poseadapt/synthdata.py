@@ -9,6 +9,7 @@ A domain is defined by a DomainSpec; generation is a pure function of
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields
@@ -64,6 +65,8 @@ class DomainSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.appearance_seed < 0:
+            raise ValueError("DomainSpec.appearance_seed must be nonnegative")
         # range -> how many (low, high) pairs it holds; 0 for a bare pair
         for name, count in {"euler_range": 3, "scale_range": 0, "trans_range": 2,
                             "blob_amp_range": 0}.items():
@@ -73,20 +76,21 @@ class DomainSpec:
             except TypeError:
                 pairs = ()
             if not (len(pairs) == max(count, 1) and all(
-                    len(p) == 2 and all(_is_real(x) for x in p) for p in pairs)):
+                    len(p) == 2 and all(_is_real(x) and math.isfinite(x) for x in p)
+                    for p in pairs)):
                 what = f"{count} (low, high) pairs" if count else "a (low, high) pair"
-                raise ValueError(f"DomainSpec.{name} must be {what} of real numbers, "
-                                 f"not {value!r}")
+                raise ValueError(f"DomainSpec.{name} must be {what} of finite real "
+                                 f"numbers, not {value!r}")
             if any(hi < lo for lo, hi in pairs):
                 raise ValueError(f"DomainSpec.{name}: a range has high < low")
             object.__setattr__(self, name, pairs if count else pairs[0])
         if self.scale_range[0] <= 0:
             raise ValueError("DomainSpec.scale_range must be positive")
         for name in ("cone_angle", "noise_level", "bg_amplitude"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"DomainSpec.{name} must be nonnegative")
-        if not self.blob_sigma_px > 0:
-            raise ValueError("DomainSpec.blob_sigma_px must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"DomainSpec.{name} must be nonnegative and finite")
+        if not 0 < self.blob_sigma_px < math.inf:
+            raise ValueError("DomainSpec.blob_sigma_px must be positive and finite")
 
 
 @dataclass
@@ -378,13 +382,8 @@ _FIELDS = {"obs": "NRR", "gt_p": "NJ3", "gt_q": "NJ2", "gt_h": "NJHW", "visibili
 
 def save_dataset(samples, out_dir, name="dataset"):
     os.makedirs(out_dir, exist_ok=True)
-    arrays = {
-        "obs": np.stack([s.obs for s in samples]).astype("<f4"),
-        "gt_p": np.stack([s.gt_p for s in samples]).astype("<f4"),
-        "gt_q": np.stack([s.gt_q for s in samples]).astype("<f4"),
-        "gt_h": np.stack([s.gt_h for s in samples]).astype("<f4"),
-        "visibility": np.stack([s.visibility for s in samples]).astype("<f4"),
-    }
+    arrays = {key: np.stack([getattr(s, key) for s in samples]).astype("<f4")
+              for key in _FIELDS}
     manifest = {"n": len(samples), "fields": {}, "samples": []}
     for key, arr in arrays.items():
         path = f"{name}.{key}.f32"

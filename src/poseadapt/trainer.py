@@ -53,10 +53,13 @@ class HyperParams:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lam1", "lam2", "lam", "alpha_p", "alpha_q", "alpha_h",
-                     "m_u", "m_h", "m_l", "lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"HyperParams.{name} must be nonnegative")
+        # NaN fails every comparison; a threshold may be +inf (select all)
+        for name in ("lam1", "lam2", "lam", "m_u", "m_h", "m_l", "lr"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"HyperParams.{name} must be nonnegative and finite")
+        for name in ("alpha_p", "alpha_q", "alpha_h"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"HyperParams.{name} must be nonnegative or inf")
         if self.k_interval < 1 or self.max_iter < 0:
             raise ValueError("HyperParams: k_interval >= 1 and max_iter >= 0 required")
         if self.batch_size < 1:
@@ -178,10 +181,6 @@ def loss_entropy_min(out, mask):
 # helpers
 
 
-def _batch_indices(rng, n, batch_size):
-    return rng.integers(0, n, size=min(batch_size, n))
-
-
 def _stack(batch, name):
     return np.stack([getattr(s, name) for s in batch])
 
@@ -257,7 +256,8 @@ def _run(state, hp, rng, opts, terms, iterations, refresh=None, eval_hook=None):
         for name, samples, ids, loss in terms(state):
             if len(ids) == 0:
                 continue
-            pick = [ids[int(i)] for i in _batch_indices(rng, len(ids), hp.batch_size)]
+            draw = rng.integers(0, len(ids), size=min(hp.batch_size, len(ids)))
+            pick = [ids[int(i)] for i in draw]
             batch = [samples[i] for i in pick]
             with ad.no_grad() if name in frozen else contextlib.nullcontext():
                 out = state.model.forward(_stack(batch, "obs"))
@@ -367,7 +367,7 @@ def train_joint_level(ds_o, dt_o, db, hp, rng, model=None,
             yield "ent_outv_t", dt_o, range(len(dt_o)), lambda out, batch, pick: \
                 loss_entropy_max(out, sel.out_mask[pick], margin=hp.m_h)
         if "psup" in enable:
-            yield "psup", dt_o, sorted(sel.q), lambda out, batch, pick: _psup_loss(
+            yield "psup", dt_o, sel.ids, lambda out, batch, pick: _psup_loss(
                 out, sel, pick, hp, normalized_confidences(out.conf * sel.in_mask[pick]))
 
     target_terms = {"ent_inv_t", "ent_outv_t", "psup"}
@@ -429,7 +429,7 @@ def train_fusion(model, source, target, pseudo, hp, rng, max_iter=None,
     def terms(state):
         yield "fusion_sup", source, range(len(source)), sup
         if pseudo is not None:
-            yield "fusion_psup", target, sorted(pseudo.q), psup
+            yield "fusion_psup", target, pseudo.ids, psup
 
     _run(TrainState(model, pseudo), hp, rng,
          _make_optimizers(fusion, hp, ("fusion_sup", "fusion_psup")), terms,

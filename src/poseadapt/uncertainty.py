@@ -130,6 +130,7 @@ class JointSelection:
     """Per-(sample, joint) segregation into confident in-view pairs,
     high-uncertainty out-view pairs, and an untouched mid band."""
 
+    ids: list          # ascending ids of the samples with an in-view pair
     in_view: set       # of (sample id, joint id)
     out_view: set
     q: dict            # sample id -> (J, 2); valid only at selected joints
@@ -174,7 +175,7 @@ def select_joint_pseudo_labels(model, samples, alpha_q, alpha_h, sigma=1.0,
     out_mask = (scores > alpha_h) & ~in_mask
     ids = np.flatnonzero(in_mask.any(axis=1)).tolist()
     q, h, p = _pseudo_labels(model, pred, pred_f, ids, sigma)
-    return JointSelection(in_view=set(zip(*np.nonzero(in_mask))),
+    return JointSelection(ids=ids, in_view=set(zip(*np.nonzero(in_mask))),
                           out_view=set(zip(*np.nonzero(out_mask))), q=q, h=h, p=p,
                           in_mask=in_mask, out_mask=out_mask, scores=scores,
                           alpha_q=alpha_q, alpha_h=alpha_h, iteration=iteration)

@@ -10,12 +10,13 @@ A7  pseudo-label selection matches brute-force inequality evaluation
 A8  metric suite (Procrustes, MPJPE, AUROC) against independent oracles
 A9  identical config + seed reruns are byte-identical
 
-The training-based criteria (A3-A6) run the shipped default domain specs
-at budget-sized dataset/iteration counts and are the slow part of the
-suite; everything else is seconds.
+The training-based criteria run ``poseadapt.protocols`` on seeds 0, 1
+and 2 (``pose_protocol`` for A3-A5, ``joint_protocol`` for A6) and are
+the slow part of the suite; everything else is seconds.
 """
 
 import os
+import runpy
 import time
 
 import numpy as np
@@ -27,13 +28,13 @@ from poseadapt.cli import main as cli_main
 from poseadapt.config import ExperimentConfig, generate_splits
 from poseadapt.heatmap import flip_joint_ids
 from poseadapt.model import FusionNet, ModelConfig, PoseNet
+from poseadapt.protocols import joint_protocol, pose_protocol
 from poseadapt.skeleton import (CameraParams, camera_transform, canonicalize,
                                 default_tree, euler_to_rotation,
                                 forward_kinematics, mpjpe,
                                 normalize_limb_vectors, pa_mpjpe)
 from poseadapt.synthdata import flip_observation
-from poseadapt.trainer import (HyperParams, auroc, evaluate, train_fusion,
-                               train_joint_level, train_pose_level)
+from poseadapt.trainer import auroc
 from poseadapt.uncertainty import (flip_consistency,
                                    select_joint_pseudo_labels,
                                    select_pose_pseudo_labels)
@@ -177,62 +178,19 @@ def test_a2_gradient_checks_100_seeds():
 
 
 # ---------------------------------------------------------------------------
-# A3-A5: pose-level training pipeline (shared fixture)
-#
-# Protocol per seed: phase 1 pretrains on labeled source only; phase 2
-# restarts three variants from an on-disk clone of that checkpoint with
-# identical budgets and RNG streams:
-#   baseline  supervised source loss only
-#   uncert    + background and target uncertainty terms
-#   full      + pseudo-label selection and pseudo-supervision
-# The fusion regressor is trained on top of the full variant.
-
-P1_ITERS = 1600
-P2_ITERS = 600
-PIPE_N = dict(n_source=256, n_target=256, n_background=128, n_eval=128)
-VARIANTS = (("baseline", ("sup",)),
-            ("uncert", ("sup", "bg", "tgt")),
-            ("full", ("sup", "bg", "tgt", "psup")))
-
-
-def _run_pose_pipeline(seed, tmp):
-    cfg = ExperimentConfig(seed=seed, **PIPE_N)
-    sp = generate_splits(cfg)
-    t0 = time.time()
-    base = PoseNet(rng=np.random.default_rng(seed))
-    hp1 = HyperParams(max_iter=P1_ITERS, k_interval=10 ** 9)
-    train_pose_level(sp["source"], sp["target"], sp["background"], hp1,
-                     np.random.default_rng(seed), model=base, enable=("sup",))
-    res = {"seed": seed}
-    pre = os.path.join(tmp, f"pretrained_{seed}")
-    base.save(pre)
-    for mode, terms in VARIANTS:
-        model = PoseNet.load(pre)
-        hp2 = HyperParams(max_iter=P2_ITERS, k_interval=200,
-                          alpha_p=0.25, lam=0.0)
-        st = train_pose_level(sp["source"], sp["target"], sp["background"],
-                              hp2, np.random.default_rng(seed + 1000),
-                              model=model, enable=terms)
-        ev = evaluate(st.model, sp["target_eval"])
-        res[mode] = ev["mpjpe"]
-        if mode == "uncert":
-            res["u_src"] = evaluate(st.model, sp["source_eval"])["u_scores"]
-            res["u_bg"] = evaluate(st.model, sp["background_eval"])["u_scores"]
-        if mode == "full":
-            fusion = train_fusion(st.model, sp["source"], sp["target"],
-                                  st.pseudo, hp2, np.random.default_rng(seed),
-                                  max_iter=P2_ITERS)
-            evf = evaluate(st.model, sp["target_eval"], fusion=fusion)
-            res["fused"] = evf["fused_mpjpe"]
-            res["phat"] = evf["mpjpe"]
-    res["elapsed"] = time.time() - t0
-    return res
+# A3-A5: pose-level adaptation, one ``pose_protocol`` run per seed: the
+# baseline (source supervision), uncert (+ background and target U) and
+# full (+ pseudo-labels) variants from one pretrained model, fusion on full
 
 
 @pytest.fixture(scope="session")
-def pose_pipeline(tmp_path_factory):
-    tmp = str(tmp_path_factory.mktemp("pose_pipeline"))
-    return {seed: _run_pose_pipeline(seed, tmp) for seed in SEEDS}
+def pose_pipeline():
+    runs = {}
+    for seed in SEEDS:
+        t0 = time.time()
+        runs[seed] = pose_protocol(seed)
+        runs[seed]["elapsed"] = time.time() - t0
+    return runs
 
 
 @pytest.mark.slow
@@ -247,8 +205,8 @@ def test_a3_pose_uncertainty_separates_backgrounds(pose_pipeline):
 
 @pytest.mark.slow
 def test_a4_full_adaptation_beats_ablations(pose_pipeline):
-    med = {mode: float(np.median([pose_pipeline[s][mode] for s in SEEDS]))
-           for mode, _ in VARIANTS}
+    med = {mode: float(np.median([pose_pipeline[s][mode]["mpjpe"] for s in SEEDS]))
+           for mode in ("baseline", "uncert", "full")}
     assert med["full"] < med["baseline"], med
     assert med["full"] < med["uncert"], med
     total = sum(pose_pipeline[s]["elapsed"] for s in SEEDS)
@@ -257,38 +215,27 @@ def test_a4_full_adaptation_beats_ablations(pose_pipeline):
 
 @pytest.mark.slow
 def test_a5_fusion_close_to_regression_head(pose_pipeline):
-    fused = float(np.median([pose_pipeline[s]["fused"] for s in SEEDS]))
-    phat = float(np.median([pose_pipeline[s]["phat"] for s in SEEDS]))
+    fused = float(np.median([pose_pipeline[s]["full"]["fused_mpjpe"] for s in SEEDS]))
+    phat = float(np.median([pose_pipeline[s]["full"]["mpjpe"] for s in SEEDS]))
     assert fused <= phat * 1.02, f"fused {fused:.4f} vs phat {phat:.4f}"
 
 
-# ---------------------------------------------------------------------------
-# A6: joint-level adaptation
+@pytest.mark.slow
+def test_adaptation_demo_reports_every_variant_and_the_gain(pose_pipeline, capsys):
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "demo_adaptation.py")
+    runpy.run_path(demo)["report"](pose_pipeline[0])
+    text = capsys.readouterr().out
+    for name in ("pretrained", "baseline", "uncert", "full", "gain"):
+        assert name in text, text
 
-def _run_joint_pipeline(seed):
-    cfg = ExperimentConfig(seed=seed, occlusion_mix=0.5, **PIPE_N)
-    sp = generate_splits(cfg)
-    vis = np.stack([s.visibility for s in sp["target_eval"]])
-    hp1 = HyperParams(max_iter=P1_ITERS, k_interval=10 ** 9, m_l=4.5)
-    st = train_joint_level(sp["source"], [], sp["background"], hp1,
-                           np.random.default_rng(seed),
-                           enable=("sup_inv", "ent_outv_s", "ent_bg"))
-    pre = evaluate(st.model, sp["target_eval"])
-    # One selection pass with the pretrained model: re-selecting with the
-    # partially adapted model at fixed absolute thresholds floods the
-    # in-view set with occluded joints as the heatmaps sharpen.
-    hp2 = HyperParams(max_iter=P2_ITERS, k_interval=P2_ITERS, lam=0.0,
-                      m_l=4.5, alpha_q=1.6, alpha_h=3.4)
-    st2 = train_joint_level(sp["source"], sp["target"], sp["background"],
-                            hp2, np.random.default_rng(seed + 1000),
-                            model=st.model)
-    post = evaluate(st2.model, sp["target_eval"])
-    return {"vis": vis, "pre": pre, "post": post}
+
+# ---------------------------------------------------------------------------
+# A6: joint-level adaptation (``protocols.joint_protocol``)
 
 
 @pytest.fixture(scope="session")
 def joint_pipeline():
-    return {seed: _run_joint_pipeline(seed) for seed in SEEDS}
+    return {seed: joint_protocol(seed) for seed in SEEDS}
 
 
 @pytest.mark.slow

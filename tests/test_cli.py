@@ -225,6 +225,7 @@ BAD_CONFIGS = [
     ({"occlusion_mix": 1.5}, "ExperimentConfig", "occlusion_mix"),
     ({"seed": "x"}, "ExperimentConfig", "seed"),
     ({"n_source": 8.5}, "ExperimentConfig", "n_source"),
+    ({"seed": -5}, "ExperimentConfig", "seed"),
 ]
 
 
@@ -478,6 +479,18 @@ def test_seed_override_and_config_echo(tmp_path, capsys):
     assert echoed["seed"] == 5
 
 
+@pytest.mark.parametrize("args", [["generate-data", "--out", "o"], ["gradcheck"]])
+def test_negative_seed_override_exits_2(tmp_path, capsys, monkeypatch, args):
+    # generate-data exits before it writes config.json into --out
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    rc = main(args + ["--seed", "-1"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == err["code"] == EXIT_BAD_CONFIG
+    assert "seed" in err["error"]
+    assert not out.exists()
+
+
 def test_generated_outputs_are_deterministic(tmp_path, capsys):
     cfgp = tiny_config(tmp_path)
     for sub in ("a", "b"):
@@ -507,7 +520,12 @@ def run_edited(tmp_path, capsys, section, key, value, command="train"):
 @pytest.mark.parametrize("key, value", [
     ("noise_level", -0.1), ("bg_amplitude", -0.5), ("cone_angle", -0.2),
     ("blob_sigma_px", 0.0), ("blob_amp_range", [0.9, 0.3]), ("noise_level", "x"),
-    ("euler_range", [[0, 1]] * 2), ("scale_range", 0.3), ("appearance_seed", 1.5)])
+    ("euler_range", [[0, 1]] * 2), ("scale_range", 0.3), ("appearance_seed", 1.5),
+    ("appearance_seed", -3), ("scale_range", [0.2, float("nan")]),
+    ("euler_range", [[0, float("inf")], [0, 1], [0, 1]]),
+    ("blob_amp_range", [float("nan"), 1.0]), ("trans_range", [[-float("inf"), 0.5], [0, 1]]),
+    ("cone_angle", float("inf")), ("noise_level", float("nan")),
+    ("bg_amplitude", float("inf")), ("blob_sigma_px", float("inf"))])
 def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
     rc, err = run_edited(tmp_path, capsys, "target", key, value, "generate-data")
     assert rc == err["code"] == EXIT_BAD_CONFIG
@@ -522,7 +540,9 @@ def test_bad_domain_spec_exits_2(tmp_path, capsys, key, value):
     ("lr_overrides", [1]), ("lr_overrides", {"sup": "x"}),
     ("lr_overrides", {"sup": -1e-3}), ("lr_overrides", {"sup": float("inf")}),
     ("lam1", "x"), ("max_iter", 2.5), ("k_interval", "x"), ("entropy_head_only", 1),
-    ("lr_overrides", {"sup": True})])
+    ("lr_overrides", {"sup": True}), ("lr", float("nan")), ("lr", float("inf")),
+    ("lam1", float("nan")), ("m_u", float("inf")), ("alpha_p", float("nan")),
+    ("alpha_h", -float("inf"))])
 def test_bad_hyperparams_exit_2(tmp_path, capsys, key, value):
     rc, err = run_edited(tmp_path, capsys, "hyper", key, value)
     assert rc == err["code"] == EXIT_BAD_CONFIG

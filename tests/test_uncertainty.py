@@ -171,9 +171,9 @@ def test_joint_selection_matches_brute_force():
                                                 if score > alpha_h else False)
     assert sel.in_mask.any() and sel.out_mask.any()
     assert not (sel.in_mask & sel.out_mask).any()
-    # the mid band is untouched
-    mid = ~sel.in_mask & ~sel.out_mask
-    assert mid.any()
+    assert (~sel.in_mask & ~sel.out_mask).any()  # the mid band is untouched
+    # the samples with an in-view pair, ascending: the ids a batch draws from
+    assert sel.ids == sorted(sel.q) == np.flatnonzero(sel.in_mask.any(axis=1)).tolist()
 
 
 def test_selection_is_deterministic():
