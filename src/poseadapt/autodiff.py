@@ -252,14 +252,6 @@ def reshape(a, shape):
     return _node(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a, axes):
-    out = a.data.transpose(axes)
-    if not _recording:
-        return _node(out)
-    inv = np.argsort(axes)
-    return _node(out, (a,), lambda g: (g.transpose(inv),))
-
-
 def getitem(a, idx):
     out = a.data[idx]
     if not _recording:
@@ -271,17 +263,6 @@ def getitem(a, idx):
         return (ga,)
 
     return _node(out, (a,), vjp)
-
-
-def stack(tensors, axis=0):
-    out = np.stack([t.data for t in tensors], axis=axis)
-    if not _recording:
-        return _node(out)
-
-    def vjp(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _node(out, tuple(tensors), vjp)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -329,20 +310,6 @@ def sqrt(a):
         return _node(out)
     # guard keeps the vjp finite at exactly zero; callers stay away from it
     return _node(out, (a,), lambda g: (g * 0.5 / np.maximum(out, EPS_NORM),))
-
-
-def sin(a):
-    out = np.sin(a.data)
-    if not _recording:
-        return _node(out)
-    return _node(out, (a,), lambda g: (g * np.cos(a.data),))
-
-
-def cos(a):
-    out = np.cos(a.data)
-    if not _recording:
-        return _node(out)
-    return _node(out, (a,), lambda g: (-g * np.sin(a.data),))
 
 
 def softplus(a):
@@ -417,6 +384,43 @@ def dense(x, w, b):
         return _unbroadcast(_g_matmul_yt(g, xd, wd), xd.shape), gw, gb
 
     return _node(out, (x,) * tx + (w, b), vjp)
+
+
+def rotate_zyx(x, angles):
+    """``x @ R(angles)ᵀ`` as one node: (B, J, 3) points turned by the
+    rotations of (B, 3) intrinsic Z-Y-X angles, R = Rz·Ry·Rx as in
+    ``skeleton.euler_to_rotation``. Both operands are Tensors. R's
+    closed-form entries and the vjps group every product and order every
+    sum as a graph of elementwise ``mul``/``sub``/``add`` nodes on the
+    sines and cosines does, so the two give the same bits."""
+    a = angles.data
+    ca, sa = np.cos(a[:, 0]), np.sin(a[:, 0])
+    cb, sb = np.cos(a[:, 1]), np.sin(a[:, 1])
+    cc, sc = np.cos(a[:, 2]), np.sin(a[:, 2])
+    casb, sasb = ca * sb, sa * sb
+    rot = np.stack([ca * cb, casb * sc - sa * cc, casb * cc + sa * sc,
+                    sa * cb, sasb * sc + ca * cc, sasb * cc - ca * sc,
+                    sb * -1.0, cb * sc, cb * cc], axis=1).reshape(-1, 3, 3)
+    rt = rot.transpose(0, 2, 1)
+    xd = x.data
+    out = _matmul(xd, rt)
+    if not _recording:
+        return _node(out)
+
+    def vjp(g):
+        g0, g1, g2, g3, g4, g5, g6, g7, g8 = (
+            _xt_matmul_g(g, xd, rt).transpose(0, 2, 1).reshape(-1, 9).T)
+        gca = g0 * cb + (g1 * sc) * sb + (g2 * cc) * sb + g4 * cc + (-g5) * sc
+        gsa = (-g1) * cc + g2 * sc + g3 * cb + (g4 * sc) * sb + (g5 * cc) * sb
+        gcb = g0 * ca + g3 * sa + g7 * sc + g8 * cc
+        gsb = (g1 * sc) * ca + (g2 * cc) * ca + (g4 * sc) * sa + (g5 * cc) * sa + g6 * -1.0
+        gcc = (-g1) * sa + g2 * casb + g4 * ca + g5 * sasb + g8 * cb
+        gsc = g1 * casb + g2 * sa + g4 * sasb + (-g5) * ca + g7 * cb
+        ga = np.stack([(-gca) * sa + gsa * ca, (-gcb) * sb + gsb * cb,
+                       (-gcc) * sc + gsc * cc], axis=1)
+        return _g_matmul_yt(g, xd, rt), ga
+
+    return _node(out, (x, angles), vjp)
 
 
 def mse(a, b):

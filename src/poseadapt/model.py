@@ -1,6 +1,7 @@
 """Two-head pose network: shared fully-connected encoder, a heatmap
 localization head, and a regression head that goes through forward
 kinematics and a scaled-orthographic camera, plus the fusion regressor.
+The camera's rotation of the pose is one ``autodiff.rotate_zyx`` node.
 
 The forward pass is differentiable end to end via the autodiff module;
 all outputs come back as Tensors on a shared computation record.
@@ -170,8 +171,7 @@ class PoseNet:
         cam_angles = cam_raw[:, :3]
         cam_scale = ad.add(ad.softplus(cam_raw[:, 3]), SCALE_FLOOR)
         cam_trans = cam_raw[:, 4:6]
-        rot = _euler_zyx_batch(cam_angles)
-        pose_cam = ad.matmul(pose_canon, ad.transpose(rot, (0, 2, 1)))
+        pose_cam = ad.rotate_zyx(pose_canon, cam_angles)
         q_proj = ad.add(
             ad.mul(ad.reshape(cam_scale, (len(obs), 1, 1)), pose_cam[:, :, :2]),
             ad.reshape(cam_trans, (len(obs), 1, 2)))
@@ -202,27 +202,6 @@ class PoseNet:
         net._setup(config, tree)
         net.params = load_checkpoint(path_prefix, _posenet_shapes(config, tree))
         return net
-
-
-def _euler_zyx_batch(angles):
-    """(B, 3) intrinsic Z-Y-X angles -> (B, 3, 3) rotation matrices,
-    differentiable. Matches skeleton.euler_to_rotation."""
-    ca, sa = ad.cos(angles[:, 0]), ad.sin(angles[:, 0])
-    cb, sb = ad.cos(angles[:, 1]), ad.sin(angles[:, 1])
-    cc, sc = ad.cos(angles[:, 2]), ad.sin(angles[:, 2])
-    entries = [
-        ad.mul(ca, cb),
-        ad.sub(ad.mul(ad.mul(ca, sb), sc), ad.mul(sa, cc)),
-        ad.add(ad.mul(ad.mul(ca, sb), cc), ad.mul(sa, sc)),
-        ad.mul(sa, cb),
-        ad.add(ad.mul(ad.mul(sa, sb), sc), ad.mul(ca, cc)),
-        ad.sub(ad.mul(ad.mul(sa, sb), cc), ad.mul(ca, sc)),
-        ad.scale(sb, -1.0),
-        ad.mul(cb, sc),
-        ad.mul(cb, cc),
-    ]
-    flat = ad.stack(entries, axis=1)
-    return ad.reshape(flat, (flat.shape[0], 3, 3))
 
 
 def heatmap_residual(pose_cam, q_loc):

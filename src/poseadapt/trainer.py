@@ -568,14 +568,17 @@ def histogram_groups(model, source, target, background, bins=24):
     true in/out-view on source and target, all joints on backgrounds, plus
     pose-uncertainty per domain."""
     ev_s, ev_t, ev_b, groups = _split_groups(model, source, target, background)
-    hmax = math.log(model.config.heatmap_size ** 2)
-    edges = np.linspace(0.0, hmax, bins + 1)
-    doc = {"entropy": {"bin_edges": edges.tolist(), "counts": {
-        k: np.histogram(v, bins=edges)[0].tolist() for k, v in groups.items()}}}
-    u_edges = np.linspace(0.0, 1.0, bins + 1)
-    doc["pose_uncertainty"] = {"bin_edges": u_edges.tolist(), "counts": {
-        "source": np.histogram(ev_s["u_scores"], bins=u_edges)[0].tolist(),
-        "target": np.histogram(ev_t["u_scores"], bins=u_edges)[0].tolist(),
-        "background": np.histogram(ev_b["u_scores"], bins=u_edges)[0].tolist(),
-    }}
-    return doc
+    return {"entropy": _histograms(groups, math.log(model.config.heatmap_size ** 2), bins),
+            "pose_uncertainty": _histograms({"source": ev_s["u_scores"],
+                                             "target": ev_t["u_scores"],
+                                             "background": ev_b["u_scores"]}, 1.0, bins)}
+
+
+def _histograms(groups, top, bins):
+    """Equal bins from 0 to ``top``, or to the largest value in ``groups``
+    if that is higher, so that no value falls off the right edge, and the
+    counts of each group."""
+    edges = np.linspace(0.0, np.fmax.reduce(np.concatenate(list(groups.values())),
+                                            initial=top), bins + 1)
+    return {"bin_edges": edges.tolist(), "counts": {
+        k: np.histogram(v, bins=edges)[0].tolist() for k, v in groups.items()}}

@@ -229,6 +229,19 @@ def test_adaptation_demo_reports_every_variant_and_the_gain(pose_pipeline, capsy
         assert name in text, text
 
 
+@pytest.mark.slow
+def test_uncertainty_demo_reports_u_auroc_and_source_mpjpe(capsys):
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "demo_uncertainty.py")
+    runpy.run_path(demo)["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    labels, values = zip(*(line.split(":") for line in lines))
+    assert labels == ("mean pose uncertainty, source images",
+                      "mean pose uncertainty, backgrounds",
+                      "AUROC (background vs source)", "source MPJPE"), lines
+    u_src, u_bg, score, mpjpe = map(float, values)
+    assert u_bg > u_src and 0.5 < score <= 1.0 and 0.0 < mpjpe < 1.0, lines
+
+
 # ---------------------------------------------------------------------------
 # A6: joint-level adaptation (``protocols.joint_protocol``)
 

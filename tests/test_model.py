@@ -10,11 +10,11 @@ import pytest
 
 from poseadapt import autodiff as ad
 from poseadapt.heatmap import soft_argmax
-from poseadapt.autodiff import Parameter
+from poseadapt.autodiff import ComputationRecord, Parameter
 from poseadapt.model import (SCALE_FLOOR, FusionNet, ModelConfig, PoseNet,
                             heatmap_residual)
 from poseadapt.optim import Adam, load_params, save_params
-from poseadapt.skeleton import default_tree
+from poseadapt.skeleton import default_tree, euler_to_rotation
 from poseadapt.synthdata import (DataInvariantError, DomainSpec, build_dataset,
                                  load_dataset, save_dataset)
 
@@ -92,6 +92,23 @@ def test_camera_scale_floor_and_projection_consistency():
     np.testing.assert_allclose(np.linalg.norm(out.pose_cam.data, axis=-1),
                                np.linalg.norm(out.pose_canon.data, axis=-1),
                                atol=1e-9)
+
+
+def test_camera_rotation_is_one_node_matching_euler_to_rotation():
+    model = small_model()
+    # a bias of large angles, so the rotations leave every quadrant's
+    # signs of sine and cosine to be checked
+    model.params["cam_head.b"].data[:3] = [2.0, -1.2, 2.8]
+    out = model.forward(random_obs(np.random.default_rng(7), 4))
+    rot = euler_to_rotation(out.cam_angles.data)
+    np.testing.assert_allclose(out.pose_cam.data,
+                               out.pose_canon.data @ np.swapaxes(rot, -1, -2),
+                               rtol=0, atol=1e-12)
+    # one node on top of the graphs of its two operands
+    assert out.pose_cam.parents == (out.pose_canon, out.cam_angles)
+    below = {id(n) for t in (out.pose_canon, out.cam_angles)
+             for n in ComputationRecord.trace(t).nodes}
+    assert len(ComputationRecord.trace(out.pose_cam).nodes) == len(below) + 1
 
 
 def test_batch_forward_matches_single_forwards():

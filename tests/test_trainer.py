@@ -739,6 +739,13 @@ def test_frozen_forwards_record_no_graph(recorded_nodes):
         assert recorded_nodes["posenet"] == 0 and recorded_nodes["other"] > 0
 
 
+def test_a_recorded_forward_creates_37_nodes(recorded_nodes):
+    # pins the size of a default model's forward graph: a change that
+    # records more (or fewer) nodes per forward updates this on purpose
+    PoseNet(rng=np.random.default_rng(0)).forward(np.zeros((8, 32, 32)))
+    assert recorded_nodes == {"posenet": 37, "other": 0}
+
+
 def test_nan_heatmap_cell_stops_an_entropy_step(monkeypatch):
     cfg, splits = small_splits(seed=17)
     model = PoseNet(config=small_cfg(), rng=np.random.default_rng(17))
@@ -800,16 +807,41 @@ def test_metrics_row_and_csv(tmp_path):
 
 def test_histogram_groups_structure():
     cfg, splits = small_splits(seed=17, occ=0.5)
-    model = PoseNet(config=small_cfg(), rng=np.random.default_rng(17))
+    # an untrained default-size model: some of its U values are above 1
+    model = PoseNet(rng=np.random.default_rng(17))
     doc = histogram_groups(model, splits["source_eval"], splits["target_eval"],
                            splits["background_eval"], bins=10)
     ent = doc["entropy"]
     assert len(ent["bin_edges"]) == 11
     assert set(ent["counts"]) == {"inV-S", "outV-S", "inV-T", "outV-T", "BG"}
-    n_bg = len(splits["background_eval"]) * TREE.joint_count
-    assert sum(ent["counts"]["BG"]) == n_bg
-    assert set(doc["pose_uncertainty"]["counts"]) == {"source", "target",
-                                                      "background"}
+    # every value is counted, the largest U and entropy too
+    vis = {d: np.stack([s.visibility for s in splits[d + "_eval"]])
+           for d in ("source", "target")}
+    sizes = {"inV-S": vis["source"].sum(), "outV-S": (~vis["source"]).sum(),
+             "inV-T": vis["target"].sum(), "outV-T": (~vis["target"]).sum(),
+             "BG": len(splits["background_eval"]) * TREE.joint_count}
+    assert {k: sum(c) for k, c in ent["counts"].items()} == sizes
+    u = doc["pose_uncertainty"]
+    assert len(u["bin_edges"]) == 11
+    assert {k: sum(c) for k, c in u["counts"].items()} == {
+        d: len(splits[d + "_eval"]) for d in ("source", "target", "background")}
+    assert u["bin_edges"][-1] > 1.0
+
+
+def test_histogram_groups_count_flat_heatmaps():
+    # on a 32x32 grid a flat heatmap's entropy rounds one ulp above
+    # log(32 * 32), the theoretical top edge of the entropy bins
+    mc = dataclasses.replace(small_cfg(), heatmap_size=32)
+    splits = generate_splits(ExperimentConfig(seed=17, n_source=4, n_target=4,
+                                              n_background=4, n_eval=4, model=mc))
+    model = PoseNet(config=mc, rng=np.random.default_rng(17))
+    model.params["loc_head.w"].data[...] = 0.0
+    doc = histogram_groups(model, splits["source_eval"], splits["target_eval"],
+                           splits["background_eval"], bins=4)
+    counts = doc["entropy"]["counts"]
+    n = sum(len(splits[d + "_eval"]) for d in ("source", "target", "background"))
+    assert sum(map(sum, counts.values())) == n * TREE.joint_count
+    assert counts["BG"] == [0, 0, 0, len(splits["background_eval"]) * TREE.joint_count]
 
 
 def test_hyperparams_validation():
