@@ -3,9 +3,9 @@
 A Tensor wraps a numpy array together with the links needed to replay the
 computation backwards. ``backward(loss, wrt)`` returns the gradients of a
 scalar loss as values, one array per leaf of ``wrt``; no tensor holds
-gradient state. ``add``, ``sub``, ``mul``, ``matmul`` and ``dense`` also
-take plain arrays and numbers: constants, which are never recorded and
-never get a gradient.
+gradient state. ``add``, ``sub``, ``mul``, ``matmul`` and the ``x`` of
+``dense`` and ``softmax_dense`` also take plain arrays and numbers:
+constants, which are never recorded and never get a gradient.
 
 Recording contract: outside ``no_grad`` every op returns a node whose
 ``parents`` are its Tensor operands and whose vjp replays it. Inside
@@ -23,6 +23,7 @@ import numpy as np
 from . import heatmap as hm
 
 EPS_NORM = 1e-8
+LOG_FLOOR = 1e-300  # the entropy vjp's log max(p, LOG_FLOOR): finite at p = 0
 
 _recording = True  # False inside no_grad
 
@@ -321,32 +322,6 @@ def softplus(a):
     return _node(out, (a,), lambda g: (g * sig,))
 
 
-def softmax_rows(a):
-    """Softmax over the last axis, max-subtracted for stability."""
-    out = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    if not _recording:
-        return _node(out)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _node(out, (a,), vjp)
-
-
-def entropy(a):
-    """(..., J) joint entropies of a (..., J, H, W) heatmap stack: the value
-    of ``hm.entropy``, looked up at call time so a wrapper there sees every
-    call. A cell's vjp, -(log max(p, LOG_FLOOR) + 1), is finite at zero."""
-    out = hm.entropy(a.data)
-    if not _recording:
-        return _node(out)
-    return _node(out, (a,), lambda g: (
-        (np.log(np.maximum(a.data, hm.LOG_FLOOR)) + 1.0) * -g[..., None, None],))
-
-
 def unit_rows(a):
     """Normalize the last axis to unit norm with a floor of ``EPS_NORM`` on
     the divisor, so all-zero rows stay zero."""
@@ -364,26 +339,55 @@ def unit_rows(a):
     return _node(out, (a,), vjp)
 
 
-def dense(x, w, b):
-    """``x @ w + b`` as one node, the bias added in place into the fresh
-    product. ``x`` may be a constant; ``w`` and ``b`` are Tensors. The
-    value and the vjps are those of ``add(matmul(x, w), b)``."""
+def _affine(x, w, b):
+    """The fresh product ``x @ w`` with the bias added in place, the Tensor
+    operands and their vjp, that of ``add(matmul(x, w), b)``. ``x`` may be
+    a constant, which gets no gradient; ``w`` and ``b`` are Tensors."""
     tx = isinstance(x, Tensor)
     xd = x.data if tx else np.asarray(x, dtype=np.float64)
     wd = w.data
     out = _matmul(xd, wd)
     out += b.data
-    if not _recording:
-        return _node(out)
 
     def vjp(g):
         gw = _unbroadcast(_xt_matmul_g(g, xd, wd), wd.shape)
         gb = _unbroadcast(g, b.shape)
-        if not tx:  # a constant input gets no gradient
+        if not tx:
             return gw, gb
         return _unbroadcast(_g_matmul_yt(g, xd, wd), xd.shape), gw, gb
 
-    return _node(out, (x,) * tx + (w, b), vjp)
+    return out, (x,) * tx + (w, b), vjp
+
+
+def dense(x, w, b):
+    """``x @ w + b`` as one node (see ``_affine``)."""
+    out, parents, vjp = _affine(x, w, b)
+    return _node(out, parents, vjp) if _recording else _node(out)
+
+
+def softmax_dense(x, w, b, shape):
+    """The localization head: joint PDFs softmax(x @ w + b) over each grid
+    of the (..., J, H, W) ``shape`` and their entropies H, from one
+    ``hm.entropy`` pass over the fresh product (looked up at call time, so
+    a wrapper there sees every call). Returns the (..., J, H*W) PDF rows,
+    one node over ``x``, ``w`` and ``b`` with the vjp of a softmax of
+    ``dense(x, w, b)``; their ``shape`` view; and the (..., J) entropies, a
+    node over that view whose vjp -(log max(p, LOG_FLOOR) + 1) per cell is
+    finite at zero."""
+    z, parents, affine_vjp = _affine(x, w, b)
+    ent = hm.entropy(z.reshape(shape))
+    out = z.reshape(shape[:-2] + (shape[-2] * shape[-1],))
+    if not _recording:
+        return _node(out), _node(z.reshape(shape)), _node(ent)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return affine_vjp((out * (g - dot)).reshape(z.shape))
+
+    rows = _node(out, parents, vjp)
+    heat = reshape(rows, shape)
+    return rows, heat, _node(ent, (heat,), lambda g: (
+        (np.log(np.maximum(heat.data, LOG_FLOOR)) + 1.0) * -g[..., None, None],))
 
 
 def rotate_zyx(x, angles):

@@ -1,5 +1,5 @@
-"""Per-joint spatial probability maps: softmax, soft-argmax, confidence,
-entropy, ground-truth rendering and flips.
+"""Per-joint spatial probability maps: the softmax and entropy pass over
+the localization head's logits, ground-truth rendering and flips.
 
 A heatmap is a (J, H, W) array where each joint slice is a PDF over the
 grid. Grid cell (row, col) covers the normalized image point
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LOG_FLOOR = 1e-300  # entropy and its vjp take log max(p, LOG_FLOOR): finite at 0
+BLOCK_CELLS = 1 << 16  # entropy's block: 512 KB of float64, 256 joints at 16 x 16
 
 
 def cell_centers(h, w):
@@ -22,41 +22,29 @@ def cell_centers(h, w):
     return np.stack([u, v], axis=-1)
 
 
-def spatial_softmax(logits):
-    """Per-joint softmax over the grid, max-subtracted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    j, h, w = logits.shape
-    flat = logits.reshape(j, h * w)
-    flat = flat - flat.max(axis=-1, keepdims=True)
-    e = np.exp(flat)
-    return (e / e.sum(axis=-1, keepdims=True)).reshape(j, h, w)
-
-
-def soft_argmax(heat):
-    """Expected (u, v) coordinate per joint under the heatmap PDF."""
-    heat = np.asarray(heat, dtype=np.float64)
-    j, h, w = heat.shape
-    return heat.reshape(j, h * w) @ cell_centers(h, w)
-
-
-def joint_confidence(heat):
-    """Per-joint peak value; in [1/(H*W), 1] for a PDF."""
-    heat = np.asarray(heat, dtype=np.float64)
-    return heat.reshape(heat.shape[0], -1).max(axis=-1)
-
-
-def entropy(heat):
-    """Self-entropy (natural log) of joint slices; 0*log(0) := 0.
-    A (..., J, H, W) stack gives (..., J) entropies. A joint with a NaN or
-    negative cell is no PDF: its entropy is NaN."""
-    heat = np.asarray(heat, dtype=np.float64)
-    flat = heat.reshape(heat.shape[:-2] + (-1,))
-    # exact zeros give 0 * log(LOG_FLOOR) = -0.0, NaN cells stay NaN
-    terms = np.maximum(flat, LOG_FLOOR)
-    np.log(terms, out=terms)
-    terms *= flat
-    np.copyto(terms, np.nan, where=flat < 0)
-    return -terms.sum(axis=-1)
+def entropy(logits):
+    """Softmax and self-entropy (natural log) of the joint slices of a
+    C-contiguous float64 (..., J, H, W) logit stack, in one pass: each
+    slice z becomes, in place, its PDF e / s with e = exp(z - max z) and
+    s = sum e, rounded as a three-pass softmax rounds it, and its entropy
+    log s - sum(e * (z - max z)) / s needs no per-cell log. Returns the
+    (..., J) entropies, NaN for a joint with a NaN or infinite logit.
+    Blocks of at most ``BLOCK_CELLS`` cells (or one slice) run in cache."""
+    n = logits.shape[-2] * logits.shape[-1]
+    rows = logits.reshape(-1, n)
+    step = max(1, BLOCK_CELLS // n)
+    ent = np.empty(len(rows))
+    buf = np.empty((min(step, len(rows)), n))
+    for lo in range(0, len(rows), step):
+        w = rows[lo:lo + step]
+        w -= w.max(axis=-1, keepdims=True)
+        e = np.exp(w, out=buf[:len(w)])
+        s = e.sum(axis=-1)
+        # one (1, n) @ (n, 1) product per row: no (rows, n) temporary
+        dot = (e[:, None, :] @ w[:, :, None]).reshape(-1)
+        np.divide(e, s[:, None], out=w)
+        np.subtract(np.log(s), dot / s, out=ent[lo:lo + step])
+    return ent.reshape(logits.shape[:-2])
 
 
 def render_gaussian_heatmap(q, sigma, grid_hw):

@@ -1,7 +1,8 @@
 """Two-head pose network: shared fully-connected encoder, a heatmap
 localization head, and a regression head that goes through forward
 kinematics and a scaled-orthographic camera, plus the fusion regressor.
-The camera's rotation of the pose is one ``autodiff.rotate_zyx`` node.
+The localization head is one ``autodiff.softmax_dense`` pass, which also
+yields the entropies H; the camera's rotation is one ``rotate_zyx`` node.
 
 The forward pass is differentiable end to end via the autodiff module;
 all outputs come back as Tensors on a shared computation record.
@@ -55,6 +56,7 @@ class NetworkOutputs:
     confidence weights never receive gradient."""
 
     heatmap: Tensor      # (B, J, H, W) PDFs
+    entropy: Tensor      # (B, J) heatmap self-entropies H, a node over heatmap
     q_loc: Tensor        # (B, J, 2) soft-argmax coordinates
     conf: np.ndarray     # (B, J) per-joint peak values
     limbs: Tensor        # (B, J, 3) unit limb directions, root row zero
@@ -152,11 +154,10 @@ class PoseNet:
         feat = self.encode(obs)
 
         # localization head
-        logits = ad.reshape(_dense(self.params, "loc_head", feat), (len(obs), j, hs * hs))
-        heat_flat = ad.softmax_rows(logits)
+        heat_flat, heatmap, entropy = ad.softmax_dense(
+            feat, self.params["loc_head.w"], self.params["loc_head.b"], (len(obs), j, hs, hs))
         q_loc = ad.matmul(heat_flat, self._grid)
         conf = heat_flat.data.max(axis=-1)
-        heatmap = ad.reshape(heat_flat, (len(obs), j, hs, hs))
 
         # regression head
         trunk = ad.relu(_dense(self.params, "trunk_in", feat))
@@ -176,7 +177,8 @@ class PoseNet:
             ad.mul(ad.reshape(cam_scale, (len(obs), 1, 1)), pose_cam[:, :, :2]),
             ad.reshape(cam_trans, (len(obs), 1, 2)))
 
-        return NetworkOutputs(heatmap=heatmap, q_loc=q_loc, conf=conf, limbs=limbs,
+        return NetworkOutputs(heatmap=heatmap, entropy=entropy, q_loc=q_loc, conf=conf,
+                              limbs=limbs,
                               pose_canon=pose_canon, cam_angles=cam_angles,
                               cam_scale=cam_scale, cam_trans=cam_trans,
                               pose_cam=pose_cam, q_proj=q_proj)

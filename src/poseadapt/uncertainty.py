@@ -1,6 +1,7 @@
 """Pose- and joint-level uncertainty measures and the flip-equivariance
 pseudo-label selection rules. The joint uncertainty H has one definition,
-``joint_uncertainty``: losses differentiate it, ``predict`` reads it.
+the forward's ``entropy`` output that ``joint_uncertainty`` reads: losses
+differentiate it, ``predict`` returns it.
 
 Selection always runs on a frozen model snapshot: it only reads forward
 passes, never parameters, so training between refreshes cannot leak in.
@@ -37,10 +38,10 @@ def pose_uncertainty_np(q_loc, q_proj):
 
 
 def joint_uncertainty(out):
-    """Per-joint heatmap self-entropy H, (B, J): one ``autodiff.entropy``
-    node with ``heatmap.entropy``'s value, so training and the frozen
-    uses under ``autodiff.no_grad`` share one arithmetic."""
-    return ad.entropy(out.heatmap)
+    """Per-joint heatmap self-entropy H, (B, J): the forward's ``entropy``
+    node, so training and the frozen uses under ``autodiff.no_grad`` share
+    one arithmetic."""
+    return out.entropy
 
 
 def flip_consistency(q_loc, q_proj, q_loc_f, q_proj_f, tree):
@@ -61,7 +62,7 @@ def predict(model, samples, batch_size=64):
     for lo in range(0, len(obs), batch_size):
         with ad.no_grad():
             out = model.forward(obs[lo:lo + batch_size])
-            ent.append(joint_uncertainty(out).data)
+        ent.append(joint_uncertainty(out).data)
         q_loc.append(out.q_loc.data)
         q_proj.append(out.q_proj.data)
         pose_cam.append(out.pose_cam.data)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import heatmap_entropy, spatial_softmax
 from poseadapt import autodiff as ad
 from poseadapt.autodiff import Parameter, Tensor
 
@@ -46,6 +47,15 @@ def check_op(build, shapes, seed, positive=False):
 # a constant operand: a plain array, not a Tensor
 C34 = np.linspace(-1.5, 2.0, 12).reshape(3, 4)
 
+
+def softmax_rows(a):
+    """The softmax over the last axis of a (B, n) Tensor through
+    ``softmax_dense``: the identity as ``x`` and a zero bias make the
+    logits ``a`` itself, bit for bit."""
+    b, n = a.shape
+    return ad.softmax_dense(np.eye(b), a, Tensor(np.zeros(n)), (b, 1, 1, n))[0]
+
+
 OPS = [
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)], False),
     ("add_broadcast", lambda a, b: ad.add(a, b), [(3, 4), (4,)], False),
@@ -73,10 +83,11 @@ OPS = [
     ("log", lambda a: ad.log(a), [(3, 3)], True),
     ("sqrt", lambda a: ad.sqrt(a), [(3, 3)], True),
     ("softplus", lambda a: ad.softplus(a), [(3, 4)], False),
-    ("softmax_rows", lambda a: ad.softmax_rows(a), [(4, 6)], False),
-    ("entropy", lambda a: ad.entropy(a), [(2, 3, 4, 4)], True),
-    ("entropy_of_softmax",
-     lambda a: ad.entropy(ad.reshape(ad.softmax_rows(a), (2, 3, 4, 4))), [(2, 3, 16)], False),
+    ("softmax_rows", softmax_rows, [(4, 6)], False),
+    ("softmax_dense", lambda x, w, b: ad.softmax_dense(x, w, b, (3, 2, 2, 4))[0],
+     [(3, 5), (5, 16), (16,)], False),
+    ("entropy_of_softmax", lambda x, w, b: ad.softmax_dense(x, w, b, (2, 3, 4, 4))[2],
+     [(2, 5), (5, 48), (48,)], False),
     ("unit_rows", lambda a: ad.unit_rows(a), [(5, 3)], False),
     ("row_norms", lambda a: ad.row_norms(a), [(5, 3)], True),
     ("mse", lambda a, b: ad.mse(a, b), [(4, 3), (4, 3)], False),
@@ -201,17 +212,41 @@ def test_backward_rejects_nonscalar():
 
 def test_softmax_rows_is_row_pdf():
     rng = np.random.default_rng(3)
-    out = ad.softmax_rows(Tensor(rng.standard_normal((6, 9)) * 5)).data
+    out = softmax_rows(Tensor(rng.standard_normal((6, 9)) * 5)).data
     assert np.all(out > 0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_rows_shift_invariant_and_stable():
     x = np.array([[1e4, 1e4 + 1.0, 1e4 - 2.0]])
-    out = ad.softmax_rows(Tensor(x)).data
-    ref = ad.softmax_rows(Tensor(x - 1e4)).data
+    out = softmax_rows(Tensor(x)).data
+    ref = softmax_rows(Tensor(x - 1e4)).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def test_softmax_dense_is_the_dense_then_softmax_graph_bit_for_bit():
+    # values and gradients of the fused node against the three-pass
+    # softmax of the dense product, with the same vjp arithmetic
+    rng = np.random.default_rng(5)
+    x = Parameter(rng.standard_normal((3, 6)))
+    w = Parameter(rng.standard_normal((6, 2 * 16)) * 2.0)
+    b = Parameter(rng.standard_normal(2 * 16))
+    g = rng.standard_normal((3, 2, 16))
+    rows, heat, ent = ad.softmax_dense(x, w, b, (3, 2, 4, 4))
+    assert heat.parents == (rows,) and ent.parents == (heat,)
+    np.testing.assert_array_equal(heat.data, spatial_softmax(
+        (x.data @ w.data + b.data).reshape(3, 2, 4, 4)))
+    grads = ad.backward(ad.tsum(ad.mul(rows, g)), [x, w, b])
+    p = rows.data
+    gz = (p * (g - (g * p).sum(axis=-1, keepdims=True))).reshape(3, 32)
+    for got, want in zip(grads, (gz @ w.data.T, x.data.T @ gz, gz.sum(axis=0))):
+        np.testing.assert_array_equal(got, want)
+    # an empty batch gives empty PDFs and entropies, and zero gradients
+    rows, heat, ent = ad.softmax_dense(Parameter(np.zeros((0, 6))), w, b, (0, 2, 4, 4))
+    assert rows.shape == (0, 2, 16) and heat.shape == (0, 2, 4, 4) and ent.shape == (0, 2)
+    gw, gb = ad.backward(ad.tsum(ent), [w, b])
+    assert not gw.any() and not gb.any()
 
 
 def test_entropy_gradient_checks_on_raw_pdfs_and_through_softmax():
@@ -220,27 +255,32 @@ def test_entropy_gradient_checks_on_raw_pdfs_and_through_softmax():
     # a 4x4 grid keeps the cells large enough for the finite differences,
     # whose truncation error grows as 1/p^2
     cells = rng.uniform(0.1, 1.0, size=(2, 17, 16))
-    pdf = Parameter((cells / cells.sum(axis=-1, keepdims=True)).reshape(2, 17, 4, 4))
-    logits = Parameter(rng.standard_normal((2, 17, 256)) * 3.0)
+    pdf = cells / cells.sum(axis=-1, keepdims=True)
+    logits = Parameter(rng.standard_normal((2, 17 * 256)) * 3.0)
 
-    def raw():
-        return ad.tsum(ad.mul(ad.entropy(pdf), w))
+    # raw PDFs: the entropy node's vjp is the gradient of the heatmap-form
+    # entropy with respect to its cells
+    _, heat, ent = ad.softmax_dense(np.eye(2), Parameter(np.log(pdf).reshape(2, -1)),
+                                    Tensor(np.zeros(17 * 16)), (2, 17, 4, 4))
+    (analytic,) = ent._vjp(w)
+    cells = heat.data.copy()
+    numeric = numeric_grad(lambda: float((heatmap_entropy(cells) * w).sum()), cells)
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-7)
 
     def softmax():
-        heat = ad.reshape(ad.softmax_rows(logits), (2, 17, 16, 16))
-        return ad.tsum(ad.mul(ad.entropy(heat), w))
+        ent = ad.softmax_dense(np.eye(2), logits, Tensor(np.zeros(17 * 256)),
+                               (2, 17, 16, 16))[2]
+        return ad.tsum(ad.mul(ent, w))
 
-    assert ad.gradient_check(raw, [pdf], rng, n_probe=20) < 1e-6
     assert ad.gradient_check(softmax, [logits], rng, n_probe=20) < 1e-8
 
 
 def test_entropy_gradient_is_finite_at_exact_zeros_and_softmax_zeroes_it():
     # logits 800 below the peak underflow to exact zero cells
-    logits = Parameter(np.array([[[0.0, -800.0, 1.0, -900.0]]]))
-    heat = ad.reshape(ad.softmax_rows(logits), (1, 1, 2, 2))
-    zero = heat.data.reshape(1, 1, 4) == 0.0
+    logits = Parameter(np.array([[0.0, -800.0, 1.0, -900.0]]))
+    _, heat, ent = ad.softmax_dense(np.eye(1), logits, Tensor(np.zeros(4)), (1, 1, 2, 2))
+    zero = heat.data.reshape(1, 4) == 0.0
     assert zero.sum() == 2
-    ent = ad.entropy(heat)
     assert np.isfinite(ent.data).all()
     (cell_grad,) = ent._vjp(np.ones((1, 1)))
     assert np.isfinite(cell_grad).all()
@@ -251,11 +291,12 @@ def test_entropy_gradient_is_finite_at_exact_zeros_and_softmax_zeroes_it():
 
 
 def test_entropy_of_a_joint_with_a_nan_cell_is_nan():
-    heat = np.full((2, 3, 2, 2), 0.25)
-    heat[1, 2, 0, 1] = np.nan
-    ent = ad.entropy(Tensor(heat)).data
-    assert np.isnan(ent[1, 2])
-    ent[1, 2] = np.log(4.0)
+    bias = Parameter(np.zeros(3 * 4))
+    bias.data[2 * 4 + 1] = np.nan  # one logit of joint 2
+    ent = ad.softmax_dense(np.ones((2, 1)), Parameter(np.zeros((1, 12))), bias,
+                           (2, 3, 2, 2))[2].data
+    assert np.isnan(ent[:, 2]).all()
+    ent[:, 2] = np.log(4.0)
     np.testing.assert_allclose(ent, np.log(4.0), atol=1e-15)
 
 

@@ -1,12 +1,13 @@
-"""Heatmap math: soft-argmax, entropy, rendering, and flip equivariance."""
+"""Heatmap math: the softmax and entropy pass, rendering, flip
+equivariance, and the reference forms the tests compare against."""
 
 import numpy as np
 import pytest
 
-from poseadapt.heatmap import (cell_centers, entropy, flip_heatmap,
-                               flip_joint_ids, joint_confidence,
-                               render_gaussian_heatmap, soft_argmax,
-                               spatial_softmax)
+from oracles import (heatmap_entropy, joint_confidence, soft_argmax,
+                     spatial_softmax)
+from poseadapt.heatmap import (BLOCK_CELLS, cell_centers, entropy, flip_heatmap,
+                               flip_joint_ids, render_gaussian_heatmap)
 from poseadapt.skeleton import default_tree
 
 
@@ -60,23 +61,77 @@ def test_joint_confidence_is_peak_value():
     np.testing.assert_allclose(joint_confidence(heat), [1.0 / 16.0, 0.7])
 
 
+def fused(logits):
+    """hm.entropy on a copy: the PDFs and the entropies of the logits."""
+    pdf = np.array(logits, dtype=np.float64)
+    return pdf, entropy(pdf)
+
+
 def test_entropy_limits():
     h = w = 16
-    uniform = np.full((1, h, w), 1.0 / (h * w))
-    assert entropy(uniform)[0] == pytest.approx(np.log(h * w), abs=1e-12)
-    onehot = np.zeros((1, h, w))
-    onehot[0, 4, 4] = 1.0
-    assert entropy(onehot)[0] == 0.0
+    pdf, ent = fused(np.zeros((1, h, w)))
+    np.testing.assert_array_equal(pdf, 1.0 / (h * w))
+    assert ent[0] == pytest.approx(np.log(h * w), abs=1e-12)
+    # cells 800 below the peak underflow to exact zeros: a one-hot PDF
+    onehot = np.full((1, h, w), -800.0)
+    onehot[0, 4, 4] = 0.0
+    pdf, ent = fused(onehot)
+    assert pdf[0, 4, 4] == 1.0 and pdf.sum() == 1.0
+    assert ent[0] == 0.0
 
 
 def test_entropy_matches_direct_sum():
     rng = np.random.default_rng(2)
     heat = random_pdf(rng)
     direct = [-np.sum(heat[j] * np.log(heat[j])) for j in range(3)]
-    np.testing.assert_allclose(entropy(heat), direct, atol=1e-12)
+    np.testing.assert_allclose(heatmap_entropy(heat), direct, atol=1e-12)
+    np.testing.assert_allclose(fused(np.log(heat))[1], direct, atol=1e-12)
     # an (N, J, H, W) stack gives exactly the per-heatmap results
-    stack = np.stack([random_pdf(rng) for _ in range(4)])
-    np.testing.assert_array_equal(entropy(stack), np.stack([entropy(h) for h in stack]))
+    stack = rng.standard_normal((4, 3, 16, 16)) * 2.0
+    for got, want in zip(fused(stack), zip(*[fused(h) for h in stack])):
+        np.testing.assert_array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("batch", [0, 1, 8, 64])
+def test_entropy_pass_pdfs_are_the_three_pass_softmax_bits(batch):
+    # 64 batches of 17 joints span several blocks, 8 fit in one
+    logits = np.random.default_rng(batch).standard_normal((batch, 17, 16, 16)) * 3.0
+    pdf, ent = fused(logits)
+    assert ent.shape == (batch, 17)
+    assert (batch * 17 * 256 > BLOCK_CELLS) == (batch == 64)
+    np.testing.assert_array_equal(pdf, spatial_softmax(logits))
+
+
+@pytest.mark.parametrize("case", ["uniform", "gap50", "random"])
+def test_entropy_from_logits_matches_the_heatmap_form(case):
+    rng = np.random.default_rng(7)
+    logits = {"uniform": np.full((2, 17, 16, 16), 3.5),
+              "gap50": np.where(rng.random((2, 17, 16, 16)) < 0.5, 0.0, -50.0),
+              "random": rng.standard_normal((2, 17, 16, 16)) * 4.0}[case]
+    pdf, ent = fused(logits)
+    np.testing.assert_allclose(ent, heatmap_entropy(pdf), rtol=0, atol=1e-12)
+
+
+def test_a_nan_logit_makes_only_its_joints_pdf_and_entropy_nan():
+    logits = np.random.default_rng(8).standard_normal((2, 3, 4, 4))
+    clean = fused(logits)
+    logits[1, 2, 0, 1] = np.nan
+    for got, want in zip(fused(logits), clean):
+        assert np.isnan(got[1, 2]).all()
+        got[1, 2] = want[1, 2]
+        np.testing.assert_array_equal(got, want)
+
+
+def test_infinite_logits_give_the_three_pass_pdfs_and_a_nan_entropy():
+    logits = np.random.default_rng(9).standard_normal((3, 2, 4, 4))
+    logits[0, 0, 2, 3] = np.inf
+    logits[1, 0, 0, 0] = -np.inf
+    logits[2, 1] = -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        pdf, ent = fused(logits)
+        np.testing.assert_array_equal(pdf, spatial_softmax(logits))
+    np.testing.assert_array_equal(np.isnan(ent), [[True, False], [True, False],
+                                                  [False, True]])
 
 
 def test_entropy_of_a_heatmap_with_a_nan_or_negative_cell_is_nan():
@@ -86,13 +141,13 @@ def test_entropy_of_a_heatmap_with_a_nan_or_negative_cell_is_nan():
     negative = uniform.copy()
     negative[0, 1, 2, 3] = -0.1
     for broken, joint in ((nan_cell, 0), (negative, 1)):
-        h = entropy(broken)
+        h = heatmap_entropy(broken)
         assert np.isnan(h[0, joint])
-        assert h[0, 1 - joint] == entropy(uniform)[0, 1 - joint]
+        assert h[0, 1 - joint] == heatmap_entropy(uniform)[0, 1 - joint]
     # exact zeros are valid mass: 0 * log(0) := 0
     half = np.zeros((1, 4, 4))
     half[0, :2] = 1.0 / 8.0
-    assert entropy(half)[0] == pytest.approx(np.log(8.0), abs=1e-12)
+    assert heatmap_entropy(half)[0] == pytest.approx(np.log(8.0), abs=1e-12)
 
 
 def test_render_gaussian_heatmap_peaks_at_joint():
@@ -164,7 +219,7 @@ def test_flip_preserves_entropy_and_confidence():
     rng = np.random.default_rng(6)
     heat = random_pdf(rng, j=tree.joint_count)
     f = flip_heatmap(heat, tree)
-    np.testing.assert_allclose(np.sort(entropy(f)), np.sort(entropy(heat)),
+    np.testing.assert_allclose(np.sort(heatmap_entropy(f)), np.sort(heatmap_entropy(heat)),
                                atol=1e-12)
     np.testing.assert_allclose(joint_confidence(f),
                                joint_confidence(heat)[tree.lr_swap], atol=1e-12)

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import soft_argmax, spatial_softmax
 from poseadapt import autodiff as ad
-from poseadapt.heatmap import soft_argmax
 from poseadapt.autodiff import ComputationRecord, Parameter
 from poseadapt.model import (SCALE_FLOOR, FusionNet, ModelConfig, PoseNet,
                             heatmap_residual)
@@ -200,6 +200,50 @@ def test_loaded_dataset_checkpoint_and_forward_match_the_recorded_digest(tmp_pat
         h.update(getattr(out, key).data.tobytes())
     h.update(out.conf.tobytes())
     assert h.hexdigest() == GOLDEN_LOAD_DIGEST
+
+
+# SHA-256 over the heatmaps, soft-argmax keypoints, confidences and rotated
+# poses of default-model forwards at batches 1, 8 and 64, recorded
+# before the softmax and the entropies became one pass over the logits
+GOLDEN_HEAD_DIGEST = "d2aac7fa3fed7ba036bf9e8e7ecd52101e776d7bf9ca98e3f49eefdaf24eb0ac"
+
+
+def _forward_batches(model):
+    """Recorded and unrecorded forwards of the model at batches 1, 8 and
+    64: (batch, obs, recorded outputs, unrecorded outputs)."""
+    rng = np.random.default_rng(41)
+    for batch in (1, 8, 64):
+        obs = rng.uniform(size=(batch, 32, 32))
+        out = model.forward(obs)
+        with ad.no_grad():
+            yield batch, obs, out, model.forward(obs)
+
+
+def test_forward_heads_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for _, _, out, free in _forward_batches(PoseNet(rng=np.random.default_rng(40))):
+        for o in (out, free):
+            for a in (o.heatmap.data, o.q_loc.data, o.conf, o.pose_cam.data):
+                h.update(a.tobytes())
+    assert h.hexdigest() == GOLDEN_HEAD_DIGEST
+
+
+def test_localization_head_is_the_three_pass_softmax_of_the_dense_logits():
+    # at the default size 64 images span several blocks of the entropy
+    # pass, 1 and 8 fit in one
+    model = PoseNet(rng=np.random.default_rng(40))
+    w, b = model.params["loc_head.w"].data, model.params["loc_head.b"].data
+    for batch, obs, out, free in _forward_batches(model):
+        with ad.no_grad():
+            feat = model.encode(obs).data
+        heat = spatial_softmax((feat @ w + b).reshape(batch, 17, 16, 16))
+        flat = heat.reshape(batch, 17, 256)
+        for o in (out, free):
+            np.testing.assert_array_equal(o.heatmap.data, heat)
+            np.testing.assert_array_equal(o.q_loc.data, flat @ model._grid)
+            np.testing.assert_array_equal(o.conf, flat.max(axis=-1))
+            assert o.entropy.shape == (batch, 17)
+        np.testing.assert_array_equal(out.entropy.data, free.entropy.data)
 
 
 def test_model_gradients_match_finite_differences():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from poseadapt.config import ExperimentConfig, generate_splits
-from poseadapt.heatmap import flip_joint_ids, soft_argmax
+from oracles import soft_argmax
+from poseadapt.heatmap import flip_joint_ids
 from poseadapt.skeleton import default_tree, mpjpe
 from poseadapt.synthdata import (TRUNCATION_KEEP, DataInvariantError,
                                  DomainSpec, build_dataset, domain_appearance,

@@ -8,11 +8,12 @@ import json
 import numpy as np
 import pytest
 
+from oracles import heatmap_entropy
 from poseadapt import autodiff as ad
+from poseadapt import heatmap as hm
 from poseadapt import trainer
 from poseadapt.autodiff import Parameter, Tensor
 from poseadapt.config import ExperimentConfig, generate_splits
-from poseadapt.heatmap import entropy
 from poseadapt.model import FusionNet, ModelConfig, PoseNet, heatmap_residual
 from poseadapt.optim import CHUNK, Adam, load_params, save_params
 from poseadapt.skeleton import default_tree
@@ -229,7 +230,7 @@ def test_occlusion_aware_loss_signs():
     # the out-view term is the hinge relu(m_h - entropy), a penalty that
     # minimizing the loss turns into entropy maximization
     assert (~in_mask).any()
-    flat = np.maximum(hp.m_h - entropy(out.heatmap.data), 0.0) * ~in_mask
+    flat = np.maximum(hp.m_h - heatmap_entropy(out.heatmap.data), 0.0) * ~in_mask
     assert full > no_ent
     assert full == pytest.approx(no_ent + hp.lam2 * flat.sum(axis=-1).mean(),
                                  abs=1e-10)
@@ -606,27 +607,37 @@ def test_every_leaf_of_a_training_loss_is_a_parameter(monkeypatch):
 
 # SHA-256 over the weights, loss logs and metrics rows of a few iterations of
 # pose-level or occluded joint-level training on a small model, then fusion
-# training, one digest per level. The pose-level runs are bit-identical since
-# the autodiff ops took constant operands as plain arrays. The joint-level
-# digest was recorded again when joint_uncertainty became one
-# autodiff.entropy node: the entropy the joint-level losses differentiate
-# lost the 1e-12 added to each cell inside the log, so H moved in its last
-# bits there (by up to 2.6e-10 per joint on the 16x16 grid).
+# training, one digest per level, and a second digest over the weights
+# alone. The pose-level runs are bit-identical since the autodiff ops took
+# constant operands as plain arrays. The full joint-level digest was
+# recorded again when joint_uncertainty became one autodiff.entropy node
+# (the entropy lost the 1e-12 added to each cell inside the log, so H moved
+# by up to 2.6e-10 per joint on the 16x16 grid), and again when H came from
+# the softmax's pass over the logits (log s - sum(e w) / s, which moves H by
+# about 1e-15). The weight digests were recorded before that last change
+# and pin that it moved no weight: the losses use H linearly or through
+# hinge indicators, so their gradients keep every bit.
 GOLDEN_TRAIN_DIGESTS = {
     "pose": "60e5ddf9808398bce7d5608cd757dee41c066af05f7ef3008c76ff4f0c9b258e",
-    "joint": "2de2908f7f95341bee30f4e6e4784b11e47ff18fc0164bc7c2455612cf4f1f34",
+    "joint": "fe0cd3affa6c564d3978f74af4c8953f0877b97a3c297c3d9962f5219764ef09",
+}
+GOLDEN_WEIGHT_DIGESTS = {
+    "pose": "3214dd1c2d56aa089f752dbe54b49031762ec7ff0d4751d89b06fda58d6962fc",
+    "joint": "4831303a5ddffbd32ab8dbf5c59ed10d760e3377fde7a8ea2a3a9556ad5a1edf",
 }
 
 
-def _training_digest(fn, occ, select, terms):
-    h = hashlib.sha256()
+def _training_digests(fn, occ, select, terms):
+    """The weights digest and the full digest of one training run."""
+    weights, full = hashlib.sha256(), hashlib.sha256()
 
     def update(params, log, row):
         for name in sorted(params):
-            h.update(name.encode())
-            h.update(params[name].data.tobytes())
+            for h in (weights, full):
+                h.update(name.encode())
+                h.update(params[name].data.tobytes())
         # repr of a float is exact, so JSON text pins every bit
-        h.update(json.dumps([log, row], sort_keys=True).encode())
+        full.update(json.dumps([log, row], sort_keys=True).encode())
 
     cfg, splits = small_splits(seed=13, occ=occ)
     evals = splits["source_eval"], splits["target_eval"], splits["background_eval"]
@@ -640,16 +651,19 @@ def _training_digest(fn, occ, select, terms):
                           state.pseudo, fast_hp(), rng, max_iter=4,
                           joint_level=fn is train_joint_level)
     update(fusion.params, [], metrics_row(state, *evals, fusion=fusion))
-    return h.hexdigest()
+    return weights.hexdigest(), full.hexdigest()
+
+
+TRAINING_RUNS = {"pose": (train_pose_level, 0.0, dict(alpha_p=np.inf),
+                          {"sup", "bg", "tgt", "psup"}),
+                 "joint": (train_joint_level, 0.7, dict(alpha_q=5.2, alpha_h=6.0),
+                           {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"})}
 
 
 def test_training_matches_the_recorded_digest():
-    runs = {"pose": (train_pose_level, 0.0, dict(alpha_p=np.inf),
-                     {"sup", "bg", "tgt", "psup"}),
-            "joint": (train_joint_level, 0.7, dict(alpha_q=5.2, alpha_h=6.0),
-                      {"sup_inv", "ent_bg", "ent_inv_t", "ent_outv_t", "psup"})}
-    digests = {level: _training_digest(*run) for level, run in runs.items()}
-    assert digests == GOLDEN_TRAIN_DIGESTS
+    digests = {level: _training_digests(*run) for level, run in TRAINING_RUNS.items()}
+    assert {level: d[0] for level, d in digests.items()} == GOLDEN_WEIGHT_DIGESTS
+    assert {level: d[1] for level, d in digests.items()} == GOLDEN_TRAIN_DIGESTS
 
 
 def _frozen_runs(splits):
@@ -739,24 +753,23 @@ def test_frozen_forwards_record_no_graph(recorded_nodes):
         assert recorded_nodes["posenet"] == 0 and recorded_nodes["other"] > 0
 
 
-def test_a_recorded_forward_creates_37_nodes(recorded_nodes):
+def test_a_recorded_forward_creates_36_nodes(recorded_nodes):
     # pins the size of a default model's forward graph: a change that
     # records more (or fewer) nodes per forward updates this on purpose
     PoseNet(rng=np.random.default_rng(0)).forward(np.zeros((8, 32, 32)))
-    assert recorded_nodes == {"posenet": 37, "other": 0}
+    assert recorded_nodes == {"posenet": 36, "other": 0}
 
 
 def test_nan_heatmap_cell_stops_an_entropy_step(monkeypatch):
     cfg, splits = small_splits(seed=17)
     model = PoseNet(config=small_cfg(), rng=np.random.default_rng(17))
-    forward = PoseNet.forward
+    entropy = hm.entropy
 
-    def poisoned(self, obs):
-        out = forward(self, obs)
-        out.heatmap.data[0, 3, 2, 5] = np.nan  # one cell, one joint
-        return out
+    def poisoned(logits):
+        logits[0, 3, 2, 5] = np.nan  # one logit, so one heatmap cell and H
+        return entropy(logits)
 
-    monkeypatch.setattr(PoseNet, "forward", poisoned)
+    monkeypatch.setattr(hm, "entropy", poisoned)
     before = {k: p.data.copy() for k, p in model.params.items()}
     with pytest.raises(NonFiniteLossError, match="'ent_bg'"):
         train_joint_level(splits["source"], splits["target"], splits["background"],

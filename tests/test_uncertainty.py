@@ -4,6 +4,7 @@ against brute-force per-sample / per-joint recomputation."""
 import numpy as np
 import pytest
 
+from oracles import heatmap_entropy
 from poseadapt import autodiff as ad
 from poseadapt import heatmap as hm
 from poseadapt.autodiff import ComputationRecord
@@ -53,17 +54,20 @@ def test_joint_uncertainty_matches_entropy():
     obs = np.random.default_rng(2).uniform(size=(2, 32, 32))
     out = model.forward(obs)
     ju = joint_uncertainty(out)
-    # one node on top of the forward's graph
+    # the forward's entropy node, one node on top of the heatmap's graph
+    assert ju is out.entropy
     assert ju.parents == (out.heatmap,)
     assert (len(ComputationRecord.trace(ju).nodes)
             == len(ComputationRecord.trace(out.heatmap).nodes) + 1)
     with ad.no_grad():
         free = joint_uncertainty(model.forward(obs))
+        logits = model.encode(obs).data @ model.params["loc_head.w"].data
     assert free.parents == ()
-    for b in range(2):
-        expected = hm.entropy(out.heatmap.data[b])
-        np.testing.assert_array_equal(ju.data[b], expected)
-        np.testing.assert_array_equal(free.data[b], expected)
+    logits += model.params["loc_head.b"].data
+    expected = hm.entropy(logits.reshape(out.heatmap.shape))
+    np.testing.assert_array_equal(ju.data, expected)
+    np.testing.assert_array_equal(free.data, expected)
+    np.testing.assert_allclose(ju.data, heatmap_entropy(out.heatmap.data), rtol=0, atol=1e-12)
 
 
 def test_flip_consistency_zero_for_equivariant_predictions():
@@ -159,7 +163,7 @@ def test_joint_selection_matches_brute_force():
     for i in range(len(ds)):
         out = model.forward(ds[i].obs)
         out_f = model.forward(flip_observation(ds[i], TREE).obs)
-        ent = hm.entropy(out.heatmap.data[0])
+        ent = out.entropy.data[0]
         err = np.linalg.norm(
             out.q_loc.data[0] - hm.flip_joint_ids(out_f.q_proj.data[0], TREE),
             axis=-1)
